@@ -23,8 +23,9 @@ from typing import Optional, Union
 
 from .errors import ConstructionError, PreconditionError
 from .maps import (AffineMap, Enclosure, MapTree, TranslateConjugate,
-                   build_theta, compose, fourier_smooth, invert, rat, rat_str)
-from .words import BSWord, NormalForm, count_pinch_free
+                   build_theta, compose, fourier_smooth, from_spec, invert, rat,
+                   rat_str)
+from .words import BSWord, NormalForm, _pinch_between, count_pinch_free
 
 BOUNDARY_GUARD = Fraction(1, 10**12)
 SWEEP_INVERSE_WIDTH = Fraction(1, 10**30)
@@ -134,6 +135,12 @@ class BSAction:
         self.g_m_inv = invert(self.g_m)
         self.g_n_inv = invert(self.g_n)
 
+    @classmethod
+    def from_lifts(cls, m: int, n: int, a: Fraction, g_n: MapTree, g_m: MapTree,
+                   smoothed: bool = False) -> "BSAction":
+        g = compose(g_n, invert(g_m))
+        return cls(m, n, a, g_n, g_m, g, invert(g), AffineMap(1, 1), smoothed=smoothed)
+
     def relation_residual(self, samples: int = 1000, lo: float = 0.0,
                           hi: float = 3.0) -> float:
         """sup |g(h^m(x)) - h^n(g(x))| over an even float sample of [lo, hi]."""
@@ -187,6 +194,22 @@ class BSAction:
             data["table"] = self.table.to_json()
         return data
 
+    @classmethod
+    def from_json(cls, data: dict) -> "BSAction":
+        """Rebuild an action written by to_json; g and g^-1 are recomposed
+        from the lifts, and a stored ping-pong table keeps its facts, verdict
+        and arithmetic mode."""
+        m, n, a = int(data["m"]), int(data["n"]), rat(data["a"])
+        act = cls.from_lifts(m, n, a, from_spec(data["g_n"]), from_spec(data["g_m"]),
+                             smoothed=bool(data.get("smoothed", False)))
+        table = data.get("table")
+        if table:
+            act.table = PingPongTable(m, n, a, PingPongTable.windows_for(a),
+                                      facts=table.get("facts", []),
+                                      verified=bool(table.get("verified", False)),
+                                      mode=table.get("mode", "rational"))
+        return act
+
 
 def build_action(m: int, n: int, a=Fraction(1, 10),
                  fourier_harmonics: Optional[int] = None,
@@ -210,10 +233,8 @@ def build_action(m: int, n: int, a=Fraction(1, 10),
         g_m_core = fourier_smooth(theta_m, m, fourier_harmonics)
         smoothed = True
         relation_tol = max(relation_tol, 1e-9)
-    g_m = TranslateConjugate(Fraction(1, 2), g_m_core)
-    g = compose(g_n, invert(g_m))
-    act = BSAction(m, n, a, g_n, g_m, g, invert(g), AffineMap(1, 1),
-                   smoothed=smoothed)
+    act = BSAction.from_lifts(m, n, a, g_n, TranslateConjugate(Fraction(1, 2), g_m_core),
+                              smoothed=smoothed)
     residual = act.relation_residual(relation_samples)
     if residual > relation_tol:
         raise ConstructionError(
@@ -250,6 +271,12 @@ def _inclusion_checks(act: BSAction):
     return w, checks
 
 
+def _arithmetic_mode(act: BSAction, mode: str) -> str:
+    """Trig-polynomial lifts have float enclosures only, so a smoothed action
+    is always checked in float mode; otherwise the caller's mode holds."""
+    return "float" if act.smoothed else mode
+
+
 def verify_inclusions(act: BSAction, mode: str = "rational") -> PingPongTable:
     """Check the seven translate inclusions (plus the base-case auxiliary one)
     with rigorous enclosures; every verdict must be Inside for a verified table.
@@ -257,8 +284,7 @@ def verify_inclusions(act: BSAction, mode: str = "rational") -> PingPongTable:
     Equations eqn1/eqn3 quantify over nonzero residues only, so for m = 1
     eqn3 is vacuous and recorded as Inside with no translates.
     """
-    if act.smoothed and mode == "rational":
-        mode = "float"
+    mode = _arithmetic_mode(act, mode)
     windows, checks = _inclusion_checks(act)
     table = PingPongTable(act.m, act.n, act.a, windows, mode=mode)
     ids_seen = set()
@@ -328,6 +354,40 @@ def _window_separation(x0: Fraction, windows: dict) -> Fraction:
     return best
 
 
+def _base_point(x0, windows: dict) -> Fraction:
+    """x0 as a rational, checked to lie in the open interval (C_2.lo, C.hi)."""
+    x0 = rat(x0)
+    c_lo, c_hi = windows["C_2"].lo, windows["C"].hi
+    if not (c_lo < x0 < c_hi):
+        raise PreconditionError(
+            f"x0 must lie in the open interval ({c_lo}, {c_hi}), got {x0}")
+    return x0
+
+
+def _pingpong_step(act: BSAction, windows: dict, enc: Enclosure, sign: int,
+                   mode: str, inverse_width: Fraction):
+    """Apply t (sign +1, i.e. g) or t^-1 (sign -1, i.e. g^-1) to enc in halves.
+
+    Half one, g_m^-1 (resp. g_n^-1), must land in B^u + Z (resp. A^u + Z) at
+    offset s1.  Half two, g_n (resp. g_m), is applied to half one reduced by
+    s1 and must land in A^s + nZ (resp. B^s + mZ) at offset s2; its enclosure
+    and s2 are in those reduced coordinates, so the unreduced ones are n*s1
+    (resp. m*s1) further on.  Returns (e1, v1, s1, e2, v2, s2); e2, v2 and s2
+    are None when half one is not Inside.
+    """
+    if sign == 1:
+        first, w1, second, w2, mod2 = act.g_m_inv, windows["B^u"], act.g_n, windows["A^s"], act.n
+    else:
+        first, w1, second, w2, mod2 = act.g_n_inv, windows["A^u"], act.g_m, windows["B^s"], act.m
+    e1 = first.eval_enclosure(enc, mode, inverse_width)
+    v1, s1 = locate_in_lattice(e1, w1, 1)
+    if v1 != "Inside":
+        return e1, v1, s1, None, None, None
+    e2 = second.eval_enclosure(e1.shift(-s1), mode, inverse_width)
+    v2, s2 = locate_in_lattice(e2, w2, mod2)
+    return e1, v1, s1, e2, v2, s2
+
+
 def certify_word(act: BSAction, w: Union[BSWord, NormalForm],
                  x0=Fraction(3, 4), mode: str = "rational",
                  inverse_width: Fraction = SWEEP_INVERSE_WIDTH) -> Certificate:
@@ -335,7 +395,8 @@ def certify_word(act: BSAction, w: Union[BSWord, NormalForm],
 
     The word is conjugated first so its leading a-power is absorbed into the
     trailing one.  Never returns "trivial": a pinch-free word either certifies
-    nontrivial or the replay reports an inconclusive enclosure.
+    nontrivial or the replay reports an inconclusive enclosure.  A smoothed
+    action is replayed in float mode whatever mode is passed.
     """
     word = w.word if isinstance(w, NormalForm) else w
     if (word.m, word.n) != (act.m, act.n):
@@ -344,13 +405,10 @@ def certify_word(act: BSAction, w: Union[BSWord, NormalForm],
     if not word.is_pinch_free():
         raise PreconditionError(f"word {word} is not pinch-free; reduce it first")
     windows = PingPongTable.windows_for(act.a)
-    x0 = rat(x0)
-    c_lo, c_hi = windows["C_2"].lo, windows["C"].hi
-    if not (c_lo < x0 < c_hi):
-        raise PreconditionError(
-            f"x0 must lie in the open interval ({c_lo}, {c_hi}), got {x0}")
+    x0 = _base_point(x0, windows)
     if len(word.syllables) == 0:
         raise PreconditionError("empty word cannot be certified nontrivial")
+    mode = _arithmetic_mode(act, mode)
 
     syl = list(word.syllables)
     lead = 0
@@ -372,7 +430,6 @@ def certify_word(act: BSAction, w: Union[BSWord, NormalForm],
                                             "offset": shift}],
                            Enclosure.point(x0 + shift), abs(Fraction(shift)))
 
-    gm_inv, gn, gn_inv, gm = act.g_m_inv, act.g_n, act.g_n_inv, act.g_m
     enc = Enclosure.point(x0)
     steps = []
     verdict = "nontrivial"
@@ -383,33 +440,23 @@ def certify_word(act: BSAction, w: Union[BSWord, NormalForm],
             steps.append({"syllable": f"a^{exp}", "tag": "shift", "offset": exp,
                           "enclosure": enc.to_json()})
             continue
-        if exp == 1:
-            half1, tag1, mod1 = gm_inv, "B^u + Z", 1
-            half2, tag2, mod2, win2 = gn, "A^s + nZ", act.n, windows["A^s"]
-            win1 = windows["B^u"]
-        else:
-            half1, tag1, mod1 = gn_inv, "A^u + Z", 1
-            half2, tag2, mod2, win2 = gm, "B^s + mZ", act.m, windows["B^s"]
-            win1 = windows["A^u"]
-        enc = half1.eval_enclosure(enc, mode, inverse_width)
-        v1, s1 = locate_in_lattice(enc, win1, mod1)
-        steps.append({"syllable": f"t^{exp}" if exp == -1 else "t",
-                      "half": 1, "tag": tag1, "verdict": v1, "offset": s1,
-                      "enclosure": enc.to_json()})
+        syllable, tag1, tag2, mod2 = (("t", "B^u + Z", "A^s + nZ", act.n) if exp == 1
+                                      else ("t^-1", "A^u + Z", "B^s + mZ", act.m))
+        enc, v1, s1, e2, v2, s2 = _pingpong_step(act, windows, enc, exp, mode,
+                                                 inverse_width)
+        steps.append({"syllable": syllable, "half": 1, "tag": tag1, "verdict": v1,
+                      "offset": s1, "enclosure": enc.to_json()})
+        final_tag = tag1
         if v1 != "Inside":
             verdict = "inconclusive"
-            final_tag = tag1
             break
-        enc = half2.eval_enclosure(enc, mode, inverse_width)
-        v2, s2 = locate_in_lattice(enc, win2, mod2)
-        steps.append({"syllable": f"t^{exp}" if exp == -1 else "t",
-                      "half": 2, "tag": tag2, "verdict": v2, "offset": s2,
-                      "enclosure": enc.to_json()})
+        enc = e2.shift(mod2 * s1)
+        steps.append({"syllable": syllable, "half": 2, "tag": tag2, "verdict": v2,
+                      "offset": s2 + mod2 * s1, "enclosure": enc.to_json()})
+        final_tag = tag2
         if v2 != "Inside":
             verdict = "inconclusive"
-            final_tag = tag2
             break
-        final_tag = tag2
     return Certificate(str(word), str(conj), x0, verdict, final_tag, steps,
                        enc, separation)
 
@@ -469,17 +516,12 @@ def sweep_certify(act: BSAction, max_syllables: int, exponent_bound: int,
     """
     if max_syllables < 0 or exponent_bound < 1:
         raise PreconditionError("bounds must be positive (max_syllables may be 0)")
-    x0 = rat(x0)
     windows = PingPongTable.windows_for(act.a)
-    c_lo, c_hi = windows["C_2"].lo, windows["C"].hi
-    if not (c_lo < x0 < c_hi):
-        raise PreconditionError(f"x0 must lie in ({c_lo}, {c_hi}), got {x0}")
+    x0 = _base_point(x0, windows)
+    mode = _arithmetic_mode(act, mode)
 
     b = exponent_bound
     m, n = act.m, act.n
-    gm_inv, gn, gn_inv, gm = act.g_m_inv, act.g_n, act.g_n_inv, act.g_m
-    win = {"B^u": windows["B^u"], "A^s": windows["A^s"],
-           "A^u": windows["A^u"], "B^s": windows["B^s"]}
 
     encs: dict[tuple, int] = {}
     enc_list: list[Enclosure] = []
@@ -494,48 +536,26 @@ def sweep_certify(act: BSAction, max_syllables: int, exponent_bound: int,
         return idx
 
     max_width = 0.0
-    edge_cache: dict[tuple, tuple] = {}
+    edge_cache: dict[tuple, Optional[tuple]] = {}
 
     def edge(enc_id: int, v: int, direction: int):
         """Apply g (direction=+1) or g^-1 (-1) to enc_list[enc_id] + v.
 
-        Returns (new_enc_id, s1, s2) or ('bad', verdict detail).
+        Returns (new_enc_id, s1, s2), or None when a half is not Inside.
         """
         nonlocal max_width
         key = (enc_id, v, direction)
-        hit = edge_cache.get(key)
-        if hit is not None:
-            return hit
-        enc = enc_list[enc_id].shift(v)
-        if direction == 1:
-            first, w1, second, w2, mod2 = gm_inv, win["B^u"], gn, win["A^s"], n
-        else:
-            first, w1, second, w2, mod2 = gn_inv, win["A^u"], gm, win["B^s"], m
-        e1 = first.eval_enclosure(enc, mode, SWEEP_INVERSE_WIDTH)
-        v1, s1 = locate_in_lattice(e1, w1, 1)
-        if v1 != "Inside":
-            result = ("bad", f"{w1.name} verdict {v1}")
-            edge_cache[key] = result
-            return result
-        e1b = e1.shift(-s1)
-        e2 = second.eval_enclosure(e1b, mode, SWEEP_INVERSE_WIDTH)
-        v2, s2 = locate_in_lattice(e2, w2, mod2)
-        if v2 != "Inside":
-            result = ("bad", f"{w2.name} verdict {v2}")
-            edge_cache[key] = result
-            return result
-        e2b = e2.shift(-s2)
-        max_width = max(max_width, float(e2b.width))
-        result = (intern(e2b), s1, s2)
+        if key in edge_cache:
+            return edge_cache[key]
+        _, _, s1, e2, v2, s2 = _pingpong_step(act, windows, enc_list[enc_id].shift(v),
+                                              direction, mode, SWEEP_INVERSE_WIDTH)
+        result = None
+        if v2 == "Inside":
+            e2b = e2.shift(-s2)
+            max_width = max(max_width, float(e2b.width))
+            result = (intern(e2b), s1, s2)
         edge_cache[key] = result
         return result
-
-    def pinch_blocked(prev_sign: int, r: int, new_sign: int) -> bool:
-        if prev_sign == 1 and new_sign == -1:
-            return r % n == 0
-        if prev_sign == -1 and new_sign == 1:
-            return r % m == 0
-        return False
 
     counts = {0: 2 * b}        # pure a^r words, r != 0: displacement r, nontrivial
     inconclusive = 0
@@ -556,7 +576,7 @@ def sweep_certify(act: BSAction, max_syllables: int, exponent_bound: int,
                 moves = []
                 for r in range(-b, b + 1):
                     for new_sign in (1, -1):
-                        if pinch_blocked(sign, r, new_sign):
+                        if _pinch_between(new_sign, r, sign, m, n):
                             continue
                         moves.append((offset + r, new_sign, mult))
             for total, new_sign, wt in moves:
@@ -564,7 +584,7 @@ def sweep_certify(act: BSAction, max_syllables: int, exponent_bound: int,
                 v = total % lattice
                 u = (total - v) // lattice
                 res = edge(enc_id, v, new_sign)
-                if res[0] == "bad":
+                if res is None:
                     inconclusive += wt
                     continue
                 new_enc, s1, s2 = res

@@ -24,7 +24,7 @@ from .circle import (AtomicCircleMeasure, MonotoneRealMap, SampledIntervalMap,
                      mean_translation_number, translation_number_estimate)
 from .errors import (InconclusiveError, LineActionsError, PreconditionError,
                      PropertyViolationError)
-from .maps import AffineMap, FundamentalDomainMap, compose, from_spec, invert, rat, rat_str
+from .maps import from_spec, rat, rat_str
 from .presentations import (CommGraph, PresentationSchema, braid_conjugator,
                             mc_schema, pin_commutator_convention,
                             twisted_generators, verify_autfn_relations)
@@ -47,22 +47,7 @@ def action_to_file(act: BSAction, path):
 
 
 def action_from_file(path) -> BSAction:
-    data = load_json(path)
-    m, n, a = int(data["m"]), int(data["n"]), rat(data["a"])
-    g_n = from_spec(data["g_n"])
-    g_m = from_spec(data["g_m"])
-    g = compose(g_n, invert(g_m))
-    act = BSAction(m, n, a, g_n, g_m, g, invert(g), AffineMap(1, 1),
-                   smoothed=bool(data.get("smoothed", False)))
-    table_data = data.get("table")
-    if table_data:
-        from .action import PingPongTable
-        table = PingPongTable(m, n, a, PingPongTable.windows_for(a),
-                              facts=table_data.get("facts", []),
-                              verified=bool(table_data.get("verified", False)),
-                              mode=table_data.get("mode", "rational"))
-        act.table = table
-    return act
+    return BSAction.from_json(load_json(path))
 
 
 def load_interval_map(path) -> SampledIntervalMap:
@@ -76,78 +61,29 @@ def load_interval_map(path) -> SampledIntervalMap:
 
 
 def pipeline_faithfulness(act: BSAction, max_syllables: int, exponent_bound: int,
-                          x0=Fraction(3, 4), per_word: bool = False,
-                          jobs: int = 1) -> dict:
+                          x0=Fraction(3, 4)) -> dict:
     """Certify every pinch-free word in the box; nonzero inconclusive fails.
 
-    Refuses to run unless the action carries a verified ping-pong table.
-    The default engine is the collapsed-state sweep; per_word replays each
-    word separately through certify_word (feasible boxes only).
+    Refuses to run unless the action carries a verified ping-pong table.  The
+    engine is the collapsed-state sweep, whose per-syllable word counts must
+    agree with the independent transfer-matrix count.  The arithmetic follows
+    the action: exact rationals for a piecewise action, outward-rounded
+    floats for a Fourier-smoothed one.
     """
     if act.table is None or not act.table.verified:
         raise PreconditionError(
             "no verified ping-pong table: run verify-inclusions first")
     t0 = time.time()
-    if per_word:
-        nontrivial = inconclusive = 0
-        counts: dict[int, int] = {}
-        words = enumerate_reduced(act.m, act.n, max_syllables, exponent_bound)
-        if jobs > 1:
-            import multiprocessing as mp
-            with mp.Pool(jobs, initializer=_init_worker,
-                         initargs=(act.m, act.n, str(act.a), str(x0))) as pool:
-                for k, verdict in pool.imap_unordered(
-                        _certify_one, (str(w.word) for w in words), chunksize=256):
-                    counts[k] = counts.get(k, 0) + 1
-                    if verdict == "nontrivial":
-                        nontrivial += 1
-                    else:
-                        inconclusive += 1
-        else:
-            for nf in words:
-                cert = certify_word(act, nf, x0)
-                k = nf.word.t_count
-                counts[k] = counts.get(k, 0) + 1
-                if cert.verdict == "nontrivial":
-                    nontrivial += 1
-                else:
-                    inconclusive += 1
-        summary = {"engine": "per-word", "m": act.m, "n": act.n,
-                   "max_syllables": max_syllables,
-                   "exponent_bound": exponent_bound, "x0": rat_str(rat(x0)),
-                   "total_words": nontrivial + inconclusive,
-                   "counts_by_syllables": {str(k): v for k, v in sorted(counts.items())},
-                   "nontrivial": nontrivial, "inconclusive": inconclusive}
-    else:
-        sweep = sweep_certify(act, max_syllables, exponent_bound, x0)
-        summary = {"engine": "collapsed-state sweep"}
-        summary.update(sweep.to_json())
-        if not sweep.counts_match():
-            raise PropertyViolationError(
-                "sweep word counts disagree with the transfer-matrix oracle")
-        summary["nontrivial"] = sweep.nontrivial
-        summary["inconclusive"] = sweep.inconclusive
-    summary["elapsed_s"] = round(time.time() - t0, 3)
-    if summary["inconclusive"]:
+    sweep = sweep_certify(act, max_syllables, exponent_bound, x0)
+    if not sweep.counts_match():
         raise PropertyViolationError(
-            f"{summary['inconclusive']} words inconclusive; pipeline fails")
+            "sweep word counts disagree with the transfer-matrix oracle")
+    summary = {"engine": "collapsed-state sweep", **sweep.to_json(),
+               "elapsed_s": round(time.time() - t0, 3)}
+    if sweep.inconclusive:
+        raise PropertyViolationError(
+            f"{sweep.inconclusive} words inconclusive; pipeline fails")
     return summary
-
-
-_worker_act = None
-_worker_x0 = None
-
-
-def _init_worker(m, n, a, x0):
-    global _worker_act, _worker_x0
-    _worker_act = build_action(m, n, rat(a))
-    _worker_x0 = rat(x0)
-
-
-def _certify_one(word_text):
-    w = BSWord.parse(_worker_act.m, _worker_act.n, word_text)
-    cert = certify_word(_worker_act, w, _worker_x0)
-    return w.t_count, cert.verdict
 
 
 def pipeline_bs12_oracle(max_letters: int, random_pairs: int = 20000,
@@ -239,10 +175,6 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the report JSON here instead of stdout")
     common.add_argument("--manifest-dir", help="append a run manifest to this directory")
-    common.add_argument("--mode", choices=["rational", "float"], default="rational",
-                        help="arithmetic mode for rigorous checks")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for sweeps")
     subparsers = p.add_subparsers(dest="command", required=True)
 
     def add_command(name, **kw):
@@ -327,7 +259,6 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--max-syllables", type=int, default=6)
     q.add_argument("--exponent-bound", type=int, default=4)
     q.add_argument("--x0", default="3/4")
-    q.add_argument("--per-word", action="store_true")
     q.add_argument("--max-letters", type=int, default=8)
     q.add_argument("--seed", type=int, default=0)
     return p
@@ -382,9 +313,7 @@ def _dispatch(args) -> tuple[dict, int]:
                 raise PreconditionError("--action-file is required")
             act = action_from_file(args.action_file)
             summary = pipeline_faithfulness(act, args.max_syllables,
-                                            args.exponent_bound, rat(args.x0),
-                                            per_word=args.per_word,
-                                            jobs=args.jobs)
+                                            args.exponent_bound, rat(args.x0))
             return {"subcommand": "pipeline faithfulness", **summary}, 0
         summary = pipeline_bs12_oracle(args.max_letters, seed=args.seed)
         return ({"subcommand": "pipeline bs12-oracle", **summary},
@@ -447,7 +376,7 @@ def _bs_cmd(args) -> tuple[dict, int]:
         raise PreconditionError("this bs action needs an action JSON file")
     act = action_from_file(args.file)
     if args.action == "verify-inclusions":
-        table = verify_inclusions(act, mode=args.mode)
+        table = verify_inclusions(act)
         action_to_file(act, args.file)
         verdicts = {f["verdict"] for f in table.facts}
         code = 0 if table.verified else (3 if "Inconclusive" in verdicts else 4)
@@ -456,7 +385,7 @@ def _bs_cmd(args) -> tuple[dict, int]:
     if args.action == "certify":
         w = BSWord.parse(act.m, act.n, args.word)
         nf = reduce(w)
-        cert = certify_word(act, nf, rat(args.x0), mode=args.mode)
+        cert = certify_word(act, nf, rat(args.x0))
         code = 0 if cert.verdict == "nontrivial" else 3
         return {"subcommand": "bs certify", **cert.to_json()}, code
     if args.action == "fixed-point":

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from lineactions import cli
+from lineactions.action import build_action
 from lineactions.errors import PreconditionError
 from lineactions.maps import from_spec
 from lineactions.words import BSWord, reduce as words_reduce
@@ -85,11 +86,20 @@ def test_words_cli_error_exit(capsys):
     assert code == 2
 
 
-def test_bs_action_file_roundtrip(action_file, capsys):
+def test_bs_action_file_roundtrip(action_file, tmp_path, capsys):
     act = cli.action_from_file(action_file)
     assert (act.m, act.n) == (2, 3)
     g_clone = from_spec(json.loads(action_file.read_text())["g_n"])
     assert g_clone.eval_float(0.3) == act.g_n.eval_float(0.3)
+    smooth = tmp_path / "smooth.json"
+    run(capsys, "bs", "construct", str(smooth), "--m", "2", "--n", "3",
+        "--fourier-harmonics", "16")
+    run(capsys, "bs", "verify-inclusions", str(smooth))
+    act = cli.action_from_file(smooth)
+    assert act.smoothed and act.table.mode == "float"
+    built = build_action(2, 3, fourier_harmonics=16)
+    assert act.g.eval_float(0.3) == built.g.eval_float(0.3)
+    assert act.g_inv.eval_float(0.3) == built.g_inv.eval_float(0.3)
 
 
 def test_bs_verify_and_certify(action_file, capsys):
@@ -119,19 +129,32 @@ def test_pipeline_refuses_unverified(action_file, capsys):
     assert code == 2
 
 
-def test_pipeline_sweep_and_per_word(action_file, capsys):
+def test_pipeline_sweep(action_file, capsys):
     run(capsys, "bs", "verify-inclusions", str(action_file))
     code, out = run(capsys, "pipeline", "faithfulness",
                     "--action-file", str(action_file),
                     "--max-syllables", "2", "--exponent-bound", "2")
     assert code == 0
     assert out["total_words"] == 454 and out["inconclusive"] == 0
-    code, out2 = run(capsys, "pipeline", "faithfulness",
-                     "--action-file", str(action_file),
-                     "--max-syllables", "2", "--exponent-bound", "2",
-                     "--per-word")
+    assert out["counts_match_transfer_matrix"] is True
+
+
+def test_pipeline_and_certify_smoothed_action(tmp_path, capsys):
+    """A Fourier-smoothed action file runs through the whole CLI path in
+    float mode without any mode flag."""
+    path = tmp_path / "analytic.json"
+    code, _ = run(capsys, "bs", "construct", str(path), "--m", "2", "--n", "3",
+                  "--fourier-harmonics", "256")
     assert code == 0
-    assert out2["total_words"] == 454 and out2["nontrivial"] == 454
+    code, out = run(capsys, "bs", "verify-inclusions", str(path))
+    assert code == 0 and out["verified"] is True and out["mode"] == "float"
+    code, out = run(capsys, "pipeline", "faithfulness", "--action-file", str(path),
+                    "--max-syllables", "2", "--exponent-bound", "2")
+    assert code == 0
+    assert out["total_words"] == 454 and out["inconclusive"] == 0
+    code, out = run(capsys, "bs", "certify", str(path), "--word", "t a t^-1 a")
+    assert code == 0 and out["verdict"] == "nontrivial"
+    assert out["final_enclosure"]["rounding"] == "outward-float"
 
 
 def test_pipeline_trivial_box_all_nontrivial(action_file, capsys):
