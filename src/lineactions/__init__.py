@@ -16,9 +16,8 @@ from .errors import (ConstructionError, InconclusiveError, LineActionsError,
                      RepresentationError)
 from .maps import (AffineMap, Enclosure, FundamentalDomainMap, MapTree,
                    ThetaMap, TranslateConjugate, TrigPolyLift, build_theta,
-                   compose, eval_interval, fourier_smooth, from_grid,
-                   from_knots, from_spec, identity, invert, iterate, rat,
-                   rat_str, sine_lift)
+                   compose, fourier_smooth, from_grid, from_knots, from_spec,
+                   identity, invert, iterate, rat, rat_str, sine_lift)
 from .presentations import (CommGraph, FreeAutomorphism, PresentationSchema,
                             aut_A, aut_B, aut_equal, autfn_schema,
                             braid_conjugator, commutator, free_inv, free_mul,

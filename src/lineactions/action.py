@@ -28,7 +28,6 @@ from .maps import (AffineMap, Enclosure, MapTree, TranslateConjugate,
 from .words import BSWord, NormalForm, _pinch_between, count_pinch_free
 
 BOUNDARY_GUARD = Fraction(1, 10**12)
-SWEEP_INVERSE_WIDTH = Fraction(1, 10**30)
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,8 @@ class BSAction:
         evaluation path stays on affine pieces (exact enclosures).
 
         Paths through a cubic join are enclosed at the given width and only a
-        residual bound is reported for them; the sharp 1e-12 statement lives
-        in float mode, which covers every path.
+        residual bound is reported for them; the sharp 1e-12 statement is
+        relation_residual's float sample, which covers every path.
         """
         from .maps import eval_float_traced
         out = []
@@ -169,10 +168,8 @@ class BSAction:
             _, p1 = eval_float_traced(self.g, float(xq) + self.m)
             _, p2 = eval_float_traced(self.g, float(xq))
             if p1 and p2:
-                lhs = self.g.eval_enclosure(Enclosure.point(xq + self.m),
-                                            "rational", inverse_width)
-                rhs = self.g.eval_enclosure(Enclosure.point(xq),
-                                            "rational", inverse_width)
+                lhs = self.g.eval_enclosure(Enclosure.point(xq + self.m), inverse_width)
+                rhs = self.g.eval_enclosure(Enclosure.point(xq), inverse_width)
             else:
                 lhs = rhs = None
             if lhs is not None and lhs.exact and rhs.exact:
@@ -197,17 +194,13 @@ class BSAction:
     @classmethod
     def from_json(cls, data: dict) -> "BSAction":
         """Rebuild an action written by to_json; g and g^-1 are recomposed
-        from the lifts, and a stored ping-pong table keeps its facts, verdict
-        and arithmetic mode."""
+        from the lifts.  A stored ping-pong table is not trusted: the
+        inclusions are verified again on the rebuilt maps and windows."""
         m, n, a = int(data["m"]), int(data["n"]), rat(data["a"])
         act = cls.from_lifts(m, n, a, from_spec(data["g_n"]), from_spec(data["g_m"]),
                              smoothed=bool(data.get("smoothed", False)))
-        table = data.get("table")
-        if table:
-            act.table = PingPongTable(m, n, a, PingPongTable.windows_for(a),
-                                      facts=table.get("facts", []),
-                                      verified=bool(table.get("verified", False)),
-                                      mode=table.get("mode", "rational"))
+        if data.get("table"):
+            verify_inclusions(act)
         return act
 
 
@@ -271,26 +264,33 @@ def _inclusion_checks(act: BSAction):
     return w, checks
 
 
-def _arithmetic_mode(act: BSAction, mode: str) -> str:
-    """Trig-polynomial lifts have float enclosures only, so a smoothed action
-    is always checked in float mode; otherwise the caller's mode holds."""
-    return "float" if act.smoothed else mode
+def _own_mode(act: BSAction, mode: Optional[str]) -> str:
+    """The action's arithmetic, "float" for a smoothed action and "rational"
+    otherwise; a mode the caller names must be that one."""
+    own = "float" if act.smoothed else "rational"
+    if mode is not None and mode != own:
+        raise PreconditionError(
+            f"this action's enclosures are {own}, not {mode}; drop the mode argument")
+    return own
 
 
-def verify_inclusions(act: BSAction, mode: str = "rational") -> PingPongTable:
+def verify_inclusions(act: BSAction, mode: Optional[str] = None) -> PingPongTable:
     """Check the seven translate inclusions (plus the base-case auxiliary one)
     with rigorous enclosures; every verdict must be Inside for a verified table.
 
     Equations eqn1/eqn3 quantify over nonzero residues only, so for m = 1
-    eqn3 is vacuous and recorded as Inside with no translates.
+    eqn3 is vacuous and recorded as Inside with no translates.  The
+    arithmetic follows the maps: exact for a piecewise action,
+    outward-rounded floats for a smoothed one.  ``mode`` may only name that
+    arithmetic ("float" if and only if act.smoothed); any other value raises
+    PreconditionError.
     """
-    mode = _arithmetic_mode(act, mode)
     windows, checks = _inclusion_checks(act)
-    table = PingPongTable(act.m, act.n, act.a, windows, mode=mode)
+    table = PingPongTable(act.m, act.n, act.a, windows, mode=_own_mode(act, mode))
     ids_seen = set()
     for fact_id, desc, tree, src, k, target, modulus in checks:
         ids_seen.add(fact_id)
-        enc = tree.eval_enclosure(Enclosure(src.lo + k, src.hi + k), mode)
+        enc = tree.eval_enclosure(Enclosure(src.lo + k, src.hi + k))
         verdict, s = locate_in_lattice(enc, target, modulus)
         table.facts.append({
             "id": fact_id, "check": desc, "target": f"{target.name}+{modulus}Z",
@@ -364,8 +364,7 @@ def _base_point(x0, windows: dict) -> Fraction:
     return x0
 
 
-def _pingpong_step(act: BSAction, windows: dict, enc: Enclosure, sign: int,
-                   mode: str, inverse_width: Fraction):
+def _pingpong_step(act: BSAction, windows: dict, enc: Enclosure, sign: int):
     """Apply t (sign +1, i.e. g) or t^-1 (sign -1, i.e. g^-1) to enc in halves.
 
     Half one, g_m^-1 (resp. g_n^-1), must land in B^u + Z (resp. A^u + Z) at
@@ -379,24 +378,24 @@ def _pingpong_step(act: BSAction, windows: dict, enc: Enclosure, sign: int,
         first, w1, second, w2, mod2 = act.g_m_inv, windows["B^u"], act.g_n, windows["A^s"], act.n
     else:
         first, w1, second, w2, mod2 = act.g_n_inv, windows["A^u"], act.g_m, windows["B^s"], act.m
-    e1 = first.eval_enclosure(enc, mode, inverse_width)
+    e1 = first.eval_enclosure(enc)
     v1, s1 = locate_in_lattice(e1, w1, 1)
     if v1 != "Inside":
         return e1, v1, s1, None, None, None
-    e2 = second.eval_enclosure(e1.shift(-s1), mode, inverse_width)
+    e2 = second.eval_enclosure(e1.shift(-s1))
     v2, s2 = locate_in_lattice(e2, w2, mod2)
     return e1, v1, s1, e2, v2, s2
 
 
 def certify_word(act: BSAction, w: Union[BSWord, NormalForm],
-                 x0=Fraction(3, 4), mode: str = "rational",
-                 inverse_width: Fraction = SWEEP_INVERSE_WIDTH) -> Certificate:
+                 x0=Fraction(3, 4)) -> Certificate:
     """Replay the four-case ping-pong induction for one pinch-free word.
 
     The word is conjugated first so its leading a-power is absorbed into the
     trailing one.  Never returns "trivial": a pinch-free word either certifies
-    nontrivial or the replay reports an inconclusive enclosure.  A smoothed
-    action is replayed in float mode whatever mode is passed.
+    nontrivial or the replay reports an inconclusive enclosure.  The
+    enclosures are exact for a piecewise action and outward-rounded floats
+    for a smoothed one.
     """
     word = w.word if isinstance(w, NormalForm) else w
     if (word.m, word.n) != (act.m, act.n):
@@ -408,7 +407,6 @@ def certify_word(act: BSAction, w: Union[BSWord, NormalForm],
     x0 = _base_point(x0, windows)
     if len(word.syllables) == 0:
         raise PreconditionError("empty word cannot be certified nontrivial")
-    mode = _arithmetic_mode(act, mode)
 
     syl = list(word.syllables)
     lead = 0
@@ -442,8 +440,7 @@ def certify_word(act: BSAction, w: Union[BSWord, NormalForm],
             continue
         syllable, tag1, tag2, mod2 = (("t", "B^u + Z", "A^s + nZ", act.n) if exp == 1
                                       else ("t^-1", "A^u + Z", "B^s + mZ", act.m))
-        enc, v1, s1, e2, v2, s2 = _pingpong_step(act, windows, enc, exp, mode,
-                                                 inverse_width)
+        enc, v1, s1, e2, v2, s2 = _pingpong_step(act, windows, enc, exp)
         steps.append({"syllable": syllable, "half": 1, "tag": tag1, "verdict": v1,
                       "offset": s1, "enclosure": enc.to_json()})
         final_tag = tag1
@@ -504,7 +501,7 @@ class SweepSummary:
 
 
 def sweep_certify(act: BSAction, max_syllables: int, exponent_bound: int,
-                  x0=Fraction(3, 4), mode: str = "rational") -> SweepSummary:
+                  x0=Fraction(3, 4), mode: Optional[str] = None) -> SweepSummary:
     """Certify every pinch-free word in the box at once.
 
     Words sharing the same induction state are collapsed: a state is the
@@ -512,13 +509,15 @@ def sweep_certify(act: BSAction, max_syllables: int, exponent_bound: int,
     offset, and word multiplicities are carried along.  Every distinct
     enclosure transition is certified once with the same rigor as
     certify_word; the counts per t-syllable class are checked against the
-    independent transfer-matrix count.
+    independent transfer-matrix count.  ``mode`` may only name the action's
+    arithmetic ("float" if and only if act.smoothed); any other value raises
+    PreconditionError.
     """
     if max_syllables < 0 or exponent_bound < 1:
         raise PreconditionError("bounds must be positive (max_syllables may be 0)")
     windows = PingPongTable.windows_for(act.a)
     x0 = _base_point(x0, windows)
-    mode = _arithmetic_mode(act, mode)
+    _own_mode(act, mode)
 
     b = exponent_bound
     m, n = act.m, act.n
@@ -548,7 +547,7 @@ def sweep_certify(act: BSAction, max_syllables: int, exponent_bound: int,
         if key in edge_cache:
             return edge_cache[key]
         _, _, s1, e2, v2, s2 = _pingpong_step(act, windows, enc_list[enc_id].shift(v),
-                                              direction, mode, SWEEP_INVERSE_WIDTH)
+                                              direction)
         result = None
         if v2 == "Inside":
             e2b = e2.shift(-s2)

@@ -19,8 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import PreconditionError, RepresentationError
-from .maps import (AffineMap, Enclosure, MapTree, compose, iterate, rat,
-                   rat_str)
+from .maps import AffineMap, Enclosure, MapTree, rat, rat_str
 
 Num = Union[Fraction, int, float]
 
@@ -36,8 +35,8 @@ class MonotoneRealMap:
     """A strictly increasing lift with integer equivariance degree.
 
     Wraps a map tree; construction checks monotonicity and the equivariance
-    rule F(x+1) - F(x) = degree on a sample set (exactly in rational mode,
-    to 1e-12 when the tree only evaluates in floats).
+    rule F(x+1) - F(x) = degree on a sample set (exactly where the enclosures
+    are exact, to 1e-12 where they are floats or cubic inverses).
     """
 
     EQUIVARIANCE_TOL = 1e-12
@@ -52,22 +51,16 @@ class MonotoneRealMap:
 
     def _check(self):
         samples = [Fraction(k, 7) for k in range(-7, 8)]
-        try:
-            values = [self.tree.eval_enclosure(Enclosure.point(x)) for x in samples]
-            shifted = [self.tree.eval_enclosure(Enclosure.point(x + 1)) for x in samples]
-            for x, v, s in zip(samples, values, shifted):
-                if v.exact and s.exact:
-                    if s.lo - v.lo != self.degree:
-                        raise RepresentationError(
-                            f"equivariance violated at x={x}: F(x+1)-F(x)={s.lo - v.lo}")
-                elif abs(s.mid - v.mid - self.degree) > self.EQUIVARIANCE_TOL:
-                    raise RepresentationError(f"equivariance violated at x={x}")
-            mids = [v.mid for v in values]
-        except PreconditionError:  # float-only leaves
-            mids = [self.tree.eval_float(float(x)) for x in samples]
-            for x, v in zip(samples, mids):
-                if abs(self.tree.eval_float(float(x) + 1.0) - v - self.degree) > 1e-9:
-                    raise RepresentationError(f"equivariance violated at x={x}")
+        values = [self.tree.eval_exact(x) for x in samples]
+        shifted = [self.tree.eval_exact(x + 1) for x in samples]
+        for x, v, s in zip(samples, values, shifted):
+            if v.exact and s.exact:
+                if s.lo - v.lo != self.degree:
+                    raise RepresentationError(
+                        f"equivariance violated at x={x}: F(x+1)-F(x)={s.lo - v.lo}")
+            elif abs(s.mid - v.mid - self.degree) > self.EQUIVARIANCE_TOL:
+                raise RepresentationError(f"equivariance violated at x={x}")
+        mids = [v.mid for v in values]
         for a, b in zip(mids, mids[1:]):
             if not a < b:
                 raise RepresentationError("map is not strictly increasing on samples")
@@ -93,19 +86,6 @@ class MonotoneRealMap:
 def rigid_rotation(angle) -> MonotoneRealMap:
     a = rat(angle)
     return MonotoneRealMap(AffineMap(1, a), 1, label=f"rotation_{rat_str(a)}")
-
-
-def canonical_lift(F: MonotoneRealMap, base_point=0) -> MonotoneRealMap:
-    """The lift representative with F(base_point) in [base_point, base_point+1);
-    all other lifts are integer translates of this one."""
-    x0 = rat(base_point)
-    enc = F.eval_exact(x0)
-    value = enc.lo if enc.exact else Fraction(enc.mid)
-    k = math.floor(value - x0)
-    if k == 0:
-        return F
-    return MonotoneRealMap(compose(AffineMap(1, -k), F.tree), F.degree,
-                           label=F.label or "canonical")
 
 
 # ---------------------------------------------------------------------------

@@ -376,7 +376,7 @@ def _bs_cmd(args) -> tuple[dict, int]:
         raise PreconditionError("this bs action needs an action JSON file")
     act = action_from_file(args.file)
     if args.action == "verify-inclusions":
-        table = verify_inclusions(act)
+        table = act.table or verify_inclusions(act)  # loading verified a stored table
         action_to_file(act, args.file)
         verdicts = {f["verdict"] for f in table.facts}
         code = 0 if table.verified else (3 if "Inconclusive" in verdicts else 4)

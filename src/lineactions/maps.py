@@ -2,15 +2,19 @@
 
 A map tree is built from leaves (affine maps, one-period fundamental-domain
 maps of integer degree, trigonometric-polynomial lifts) and nodes
-(composition, inverse, conjugation by a translation).  Trees evaluate in two
-modes:
+(composition, inverse, conjugation by a translation).  Trees have a fast
+plain float evaluation for estimators and a rigorous enclosure evaluation,
+whose arithmetic follows the type of the enclosure's endpoints:
 
-* exact rational mode: inputs and piece coefficients are Fractions, forward
-  evaluation is exact; inverting a cubic join piece yields a rational
-  enclosure of prescribed width by monotone bisection.
-* float mode: fast plain evaluation for estimators, plus rigorous enclosures
-  obtained by rounding exact values outward one ulp (rational leaves) or by
-  padded evaluation (float-only trig leaves).
+* Fraction (or int) endpoints: rational leaves evaluate exactly; inverting a
+  cubic join piece yields a rational enclosure of prescribed width by
+  monotone bisection.
+* float endpoints: rational leaves compute exactly from the endpoints and
+  round the result outward to floats.
+
+Trig-polynomial leaves have float coefficients: they round any input
+outward to floats and return padded float enclosures, so a path through one
+continues in outward-rounded floats.
 
 The degree-j covering lift Theta_j is built here: slope a/2 through the
 origin, slope a/2 affine ramp reaching j near 1, and a monotone cubic
@@ -23,7 +27,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import ConstructionError, PreconditionError, RepresentationError
 
@@ -81,12 +85,16 @@ def _next_down(x: float) -> float:
 
 
 def _float_down(q) -> float:
-    """Largest float <= q for exact rational q."""
+    """Largest float <= q for a float or an exact rational q."""
+    if isinstance(q, float):
+        return q
     f = float(q)
     return f if Fraction(f) <= q else _next_down(f)
 
 
 def _float_up(q) -> float:
+    if isinstance(q, float):
+        return q
     f = float(q)
     return f if Fraction(f) >= q else _next_up(f)
 
@@ -123,8 +131,16 @@ class Enclosure:
     def mid(self) -> float:
         return (float(self.lo) + float(self.hi)) / 2.0
 
+    @property
+    def rational_ends(self) -> tuple:
+        """(lo, hi) as exact rationals; float endpoints convert exactly."""
+        if isinstance(self.lo, float):
+            return Fraction(self.lo), Fraction(self.hi)
+        return self.lo, self.hi
+
     def shift(self, k) -> "Enclosure":
-        return Enclosure(self.lo + k, self.hi + k, self.exact)
+        lo, hi = self.rational_ends
+        return _image(self, lo + k, hi + k, self.exact)
 
     def contains(self, x: Num) -> bool:
         return self.lo <= x <= self.hi
@@ -138,6 +154,14 @@ class Enclosure:
                     "lo_decimal": decimal_down(self.lo), "hi_decimal": decimal_up(self.hi),
                     "rounding": "exact" if self.exact else "outward-rational"}
         return {"lo": repr(self.lo), "hi": repr(self.hi), "rounding": "outward-float"}
+
+
+def _image(enc: Enclosure, lo: Fraction, hi: Fraction, exact: bool) -> Enclosure:
+    """[lo, hi], computed exactly from enc's endpoints, in enc's arithmetic:
+    exact Fractions for rational enc, rounded outward to floats for float enc."""
+    if isinstance(enc.lo, float):
+        return Enclosure(_float_down(lo), _float_up(hi), False)
+    return Enclosure(lo, hi, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +290,16 @@ class MapTree:
     def eval_float(self, x: float) -> float:
         raise NotImplementedError
 
-    def eval_enclosure(self, enc: Enclosure, mode: str = "rational",
+    def eval_enclosure(self, enc: Enclosure,
                        inverse_width: Fraction = DEFAULT_INVERSE_WIDTH) -> Enclosure:
+        """Enclosure of F(enc) from its endpoints (F is increasing), in the
+        arithmetic of enc's endpoints; see the module docstring."""
         raise NotImplementedError
 
     def eval_exact(self, x: Num) -> Enclosure:
-        """Enclosure of F(x) in rational mode (width 0 off the cubic inverses)."""
+        """Enclosure of F at the exact rational x: width 0 off the cubic
+        inverses on rational trees, outward-rounded floats once a
+        trig-polynomial leaf is on the path."""
         return self.eval_enclosure(Enclosure.point(rat(x)))
 
     def __call__(self, x: float) -> float:
@@ -292,13 +320,10 @@ class AffineMap(MapTree):
     def eval_float(self, x):
         return float(self.slope) * x + float(self.offset)
 
-    def eval_enclosure(self, enc, mode="rational", inverse_width=DEFAULT_INVERSE_WIDTH):
-        if mode == "rational":
-            return Enclosure(self.slope * enc.lo + self.offset,
-                             self.slope * enc.hi + self.offset, enc.exact)
-        lo = _float_down(self.slope * Fraction(enc.lo) + self.offset)
-        hi = _float_up(self.slope * Fraction(enc.hi) + self.offset)
-        return Enclosure(lo, hi, False)
+    def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
+        lo, hi = enc.rational_ends
+        return _image(enc, self.slope * lo + self.offset, self.slope * hi + self.offset,
+                      enc.exact)
 
     def to_spec(self):
         return {"kind": "affine", "slope": rat_str(self.slope), "offset": rat_str(self.offset)}
@@ -362,12 +387,9 @@ class FundamentalDomainMap(MapTree):
         i = max(0, min(i, len(self.pieces) - 1))
         return self.pieces[i].eval_float(xr) + self.degree * k
 
-    def eval_enclosure(self, enc, mode="rational", inverse_width=DEFAULT_INVERSE_WIDTH):
-        lo = self.eval_exact_point(Fraction(enc.lo))
-        hi = self.eval_exact_point(Fraction(enc.hi))
-        if mode == "rational":
-            return Enclosure(lo, hi, enc.exact)
-        return Enclosure(_float_down(lo), _float_up(hi), False)
+    def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
+        lo, hi = enc.rational_ends
+        return _image(enc, self.eval_exact_point(lo), self.eval_exact_point(hi), enc.exact)
 
     def invert_exact(self, y: Rat, width: Fraction) -> tuple[Rat, Rat, bool]:
         """(lo, hi, exact) enclosing F^{-1}(y); exact on affine pieces."""
@@ -391,16 +413,6 @@ class FundamentalDomainMap(MapTree):
         i = bisect.bisect_right(self._value_breaks_f, yr) - 1
         i = max(0, min(i, len(self.pieces) - 1))
         return self.pieces[i].invert_float(yr) + k
-
-    def slope_witnesses(self) -> list[tuple[str, Rat]]:
-        """(kind, positive slope witness) per piece; Hermite pieces report min endpoint slope."""
-        out = []
-        for p in self.pieces:
-            if isinstance(p, AffinePiece):
-                out.append(("affine", p.slope))
-            else:
-                out.append(("hermite", min(p.slope_lo, p.slope_hi)))
-        return out
 
     def to_spec(self):
         return {"kind": "fundamental", "degree": self.degree, "label": self.label,
@@ -451,8 +463,7 @@ class TrigPolyLift(MapTree):
     """
 
     def __init__(self, degree: int, a0: float = 0.0,
-                 cos_coeffs: Sequence[float] = (), sin_coeffs: Sequence[float] = (),
-                 check_monotone: bool = True):
+                 cos_coeffs: Sequence[float] = (), sin_coeffs: Sequence[float] = ()):
         if degree < 1:
             raise RepresentationError("degree must be >= 1")
         self.degree = degree
@@ -469,11 +480,10 @@ class TrigPolyLift(MapTree):
             self._np = (2 * math.pi * ks, np.array(self.cos_coeffs),
                         np.array(self.sin_coeffs))
         self._deriv_min = None
-        if check_monotone:
-            wit = self.monotonicity_margin()
-            if wit <= 0:
-                raise ConstructionError(
-                    f"cannot certify monotonicity: derivative lower bound {wit:.3g} <= 0")
+        wit = self.monotonicity_margin()
+        if wit <= 0:
+            raise ConstructionError(
+                f"cannot certify monotonicity: derivative lower bound {wit:.3g} <= 0")
 
     def monotonicity_margin(self) -> float:
         """Certified lower bound for F' over a period (cached).
@@ -525,12 +535,9 @@ class TrigPolyLift(MapTree):
     # evaluation error guard for the padded enclosure; generous for <= 256 terms
     _PAD = 1e-12
 
-    def eval_enclosure(self, enc, mode="float", inverse_width=DEFAULT_INVERSE_WIDTH):
-        if mode == "rational":
-            raise PreconditionError(
-                "trig-polynomial leaves evaluate in float mode only; rerun with mode='float'")
-        lo = self.eval_float(float(enc.lo)) - self._PAD
-        hi = self.eval_float(float(enc.hi)) + self._PAD
+    def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
+        lo = self.eval_float(_float_down(enc.lo)) - self._PAD
+        hi = self.eval_float(_float_up(enc.hi)) + self._PAD
         return Enclosure(lo, hi, False)
 
     def _deriv(self, x: float) -> float:
@@ -602,9 +609,9 @@ class Compose(MapTree):
             x = p.eval_float(x)
         return x
 
-    def eval_enclosure(self, enc, mode="rational", inverse_width=DEFAULT_INVERSE_WIDTH):
+    def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
         for p in reversed(self.parts):
-            enc = p.eval_enclosure(enc, mode, inverse_width)
+            enc = p.eval_enclosure(enc, inverse_width)
         return enc
 
     def to_spec(self):
@@ -627,22 +634,19 @@ class Inverse(MapTree):
             return inner.invert_float(x)
         raise ConstructionError(f"cannot invert leaf {inner!r}")
 
-    def eval_enclosure(self, enc, mode="rational", inverse_width=DEFAULT_INVERSE_WIDTH):
+    def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
         inner = self.inner
         if isinstance(inner, FundamentalDomainMap):
-            width = inverse_width if mode == "rational" else Fraction(1, 2**52)
-            lo, lo_hi, ex1 = inner.invert_exact(Fraction(enc.lo), width)
-            hi_lo, hi, ex2 = inner.invert_exact(Fraction(enc.hi), width)
-            exact = enc.exact and ex1 and ex2 and lo == hi
-            if mode == "rational":
-                return Enclosure(lo, hi, exact)
-            return Enclosure(_float_down(lo), _float_up(hi), False)
+            if isinstance(enc.lo, float):
+                inverse_width = Fraction(1, 2**52)
+            lo, hi = enc.rational_ends
+            lo, _, ex1 = inner.invert_exact(lo, inverse_width)
+            _, hi, ex2 = inner.invert_exact(hi, inverse_width)
+            return _image(enc, lo, hi, enc.exact and ex1 and ex2 and lo == hi)
         if isinstance(inner, TrigPolyLift):
-            if mode == "rational":
-                raise PreconditionError("trig-polynomial leaves invert in float mode only")
             pad = 4 * TrigPolyLift._PAD
-            return Enclosure(inner.invert_float(float(enc.lo)) - pad,
-                             inner.invert_float(float(enc.hi)) + pad, False)
+            return Enclosure(inner.invert_float(_float_down(enc.lo)) - pad,
+                             inner.invert_float(_float_up(enc.hi)) + pad, False)
         raise ConstructionError(f"cannot invert leaf {inner!r}")
 
     def to_spec(self):
@@ -660,18 +664,10 @@ class TranslateConjugate(MapTree):
         s = float(self.shift)
         return self.inner.eval_float(x - s) + s
 
-    def eval_enclosure(self, enc, mode="rational", inverse_width=DEFAULT_INVERSE_WIDTH):
+    def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
         s = self.shift
-        if mode == "rational":
-            shifted = Enclosure(enc.lo - s, enc.hi - s, enc.exact)
-        else:
-            shifted = Enclosure(_float_down(Fraction(enc.lo) - s),
-                                _float_up(Fraction(enc.hi) - s), False)
-        out = self.inner.eval_enclosure(shifted, mode, inverse_width)
-        if mode == "rational":
-            return Enclosure(out.lo + s, out.hi + s, out.exact)
-        return Enclosure(_float_down(Fraction(out.lo) + s),
-                         _float_up(Fraction(out.hi) + s), False)
+        out = self.inner.eval_enclosure(enc.shift(-s), inverse_width)
+        return out.shift(s)
 
     def to_spec(self):
         return {"kind": "translate_conjugate", "shift": rat_str(self.shift),
@@ -760,18 +756,12 @@ def from_grid(xs: Sequence[float], ys: Sequence[float], degree: int,
 
 
 # ---------------------------------------------------------------------------
-# interval evaluation entry point (the module's rigorous-carrier contract)
-
-
-def eval_interval(f: MapTree, interval: Enclosure, mode: str = "rational",
-                  inverse_width: Fraction = DEFAULT_INVERSE_WIDTH) -> Enclosure:
-    """Enclosure of f(interval), exploiting monotonicity (endpoints only)."""
-    return f.eval_enclosure(interval, mode, inverse_width)
+# float probe of exact paths
 
 
 def eval_float_traced(f: MapTree, x: float) -> tuple[float, bool]:
     """Float value plus a flag telling whether the path stayed on affine
-    pieces (exactly evaluable in rational mode).  The flag is a fast probe;
+    pieces (exactly evaluable from rational input).  The flag is a fast probe;
     points at piece boundaries may be conservatively misclassified."""
     if isinstance(f, AffineMap):
         return f.eval_float(x), True

@@ -91,9 +91,6 @@ class FreeAutomorphism:
             raise PreconditionError("no inverse witness carried")
         return FreeAutomorphism(self.rank, self.inverse_images, self.images)
 
-    def is_identity(self) -> bool:
-        return all(im == (i + 1,) for i, im in enumerate(self.images))
-
     def __eq__(self, other):
         return (isinstance(other, FreeAutomorphism)
                 and self.rank == other.rank and self.images == other.images)

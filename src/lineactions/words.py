@@ -58,10 +58,6 @@ class BSWord:
 
     # -- construction -----------------------------------------------------
     @staticmethod
-    def from_tokens(m: int, n: int, tokens: Sequence[Syllable]) -> "BSWord":
-        return BSWord(m, n, tuple(tokens))
-
-    @staticmethod
     def parse(m: int, n: int, text: str) -> "BSWord":
         """Parse whitespace-separated tokens: t, t^-1, t^K, a, a^-1, a^K."""
         tokens: list[Syllable] = []

@@ -3,8 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from lineactions.action import (SWEEP_INVERSE_WIDTH, build_action,
-                                certify_word, find_g_fixed_point,
+from lineactions.action import (build_action, certify_word, find_g_fixed_point,
                                 locate_in_lattice, rotation_obstruction,
                                 sweep_certify, verify_inclusions, Window)
 from lineactions.errors import PreconditionError
@@ -76,6 +75,17 @@ def test_smoothed_action_passes_at_documented_threshold():
     act = build_action(2, 3, fourier_harmonics=256)
     table = verify_inclusions(act)
     assert table.verified and table.mode == "float"
+    assert verify_inclusions(act, mode="float").verified
+    with pytest.raises(PreconditionError, match="float, not rational"):
+        sweep_certify(act, 1, 1, mode="rational")
+
+
+def test_mode_keyword_must_name_the_action_arithmetic(act23):
+    assert sweep_certify(act23, 1, 1, mode="rational").inconclusive == 0
+    with pytest.raises(PreconditionError, match="rational, not float"):
+        verify_inclusions(act23, mode="float")
+    with pytest.raises(PreconditionError, match="rational, not float"):
+        sweep_certify(act23, 1, 1, mode="float")
 
 
 def test_locate_in_lattice_never_rounds_to_inside():
@@ -148,14 +158,14 @@ def test_certify_steps_replay(act23):
             enc = enc.shift(exp)
             replay.append(enc)
         elif exp == 1:
-            enc = gm_inv.eval_enclosure(enc, "rational", SWEEP_INVERSE_WIDTH)
+            enc = gm_inv.eval_enclosure(enc)
             replay.append(enc)
-            enc = gn.eval_enclosure(enc, "rational", SWEEP_INVERSE_WIDTH)
+            enc = gn.eval_enclosure(enc)
             replay.append(enc)
         else:
-            enc = gn_inv.eval_enclosure(enc, "rational", SWEEP_INVERSE_WIDTH)
+            enc = gn_inv.eval_enclosure(enc)
             replay.append(enc)
-            enc = gm.eval_enclosure(enc, "rational", SWEEP_INVERSE_WIDTH)
+            enc = gm.eval_enclosure(enc)
             replay.append(enc)
     recorded = [s["enclosure"] for s in cert.steps]
     assert len(recorded) == len(replay)

@@ -129,6 +129,32 @@ def test_pipeline_refuses_unverified(action_file, capsys):
     assert code == 2
 
 
+def test_stored_table_is_verified_again_on_load(action_file, capsys):
+    """A file edited after verify-inclusions is not certified from its stale
+    table: loading re-runs the inclusion checks on the file's maps and a."""
+    run(capsys, "bs", "verify-inclusions", str(action_file))
+    data = json.loads(action_file.read_text())
+    stale_facts = data["table"]["facts"]
+    # the a = 1/10 lifts also satisfy the inclusions for the a = 1/5 windows,
+    # so the recomputed table verifies, with facts of its own
+    data["a"] = "1/5"
+    action_file.write_text(json.dumps(data))
+    table = cli.action_from_file(action_file).table
+    assert table.verified and table.facts != stale_facts
+    # for the a = 1/20 windows they do not
+    data["a"] = "1/20"
+    action_file.write_text(json.dumps(data))
+    assert not cli.action_from_file(action_file).table.verified
+    code = cli.main(["pipeline", "faithfulness", "--action-file", str(action_file),
+                     "--max-syllables", "2", "--exponent-bound", "2"])
+    assert code == 2 and "no verified ping-pong table" in capsys.readouterr().err
+    data["a"] = "1/10"
+    data["table"]["facts"] = []
+    action_file.write_text(json.dumps(data))
+    table = cli.action_from_file(action_file).table
+    assert table.verified and table.facts == stale_facts
+
+
 def test_pipeline_sweep(action_file, capsys):
     run(capsys, "bs", "verify-inclusions", str(action_file))
     code, out = run(capsys, "pipeline", "faithfulness",

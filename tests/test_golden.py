@@ -1,0 +1,44 @@
+"""Byte-identity gate for the exact rational certificates.
+
+The digests below pin the canonical JSON (sorted keys) of a fixed set of
+rational certify_word certificates and sweep summaries.  A change to the
+map or certification layers that is meant to leave the exact arithmetic
+alone must leave both digests unchanged; a deliberate change of the
+certificate format or of the rational results must update them and say so.
+"""
+
+import hashlib
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from lineactions.action import build_action, certify_word, sweep_certify
+from lineactions.words import enumerate_reduced
+
+PAIRS = [(1, 2), (2, 3), (2, 5), (3, 4)]
+
+CERTIFICATES_SHA256 = "aee7203ce83f12d8c9f583ca761f3264b554133239ddd0e0b29f60dd54523d38"
+SWEEPS_SHA256 = "752f7fdf385a43b19f179bce605d2d642adc7dea15858c22544756cfb3c4b9f2"
+
+
+@pytest.fixture(scope="module")
+def actions():
+    return {(m, n): build_action(m, n) for m, n in PAIRS}
+
+
+def _digest(records) -> str:
+    text = json.dumps(records, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_rational_certificates_are_byte_identical(actions):
+    records = [certify_word(actions[(m, n)], nf, F(3, 4)).to_json()
+               for m, n in PAIRS
+               for nf in list(enumerate_reduced(m, n, 2, 2))[::8]]
+    assert _digest(records) == CERTIFICATES_SHA256
+
+
+def test_rational_sweeps_are_byte_identical(actions):
+    records = [sweep_certify(actions[pair], 2, 2, F(7, 10)).to_json() for pair in PAIRS]
+    assert _digest(records) == SWEEPS_SHA256

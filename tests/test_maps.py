@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
@@ -6,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lineactions.errors import ConstructionError, PreconditionError
-from lineactions.maps import (AffineMap, Enclosure, HermitePiece, TrigPolyLift,
+from lineactions.maps import (DEFAULT_INVERSE_WIDTH, AffineMap, Enclosure,
+                              HermitePiece, TranslateConjugate, TrigPolyLift,
                               build_theta, compose, decimal_down, decimal_up,
-                              eval_interval, fourier_smooth, from_grid,
-                              from_knots, from_spec, identity, invert,
-                              iterate, sine_lift)
+                              fourier_smooth, from_grid, from_knots, from_spec,
+                              identity, invert, iterate, sine_lift)
 
 rationals = st.fractions(min_value=-2, max_value=2, max_denominator=997)
+floats = st.floats(min_value=-2, max_value=2)
 
 
 def test_theta_endpoint_values():
@@ -86,13 +88,94 @@ def test_strict_monotonicity(x, y):
 
 
 def test_eval_interval_examples():
-    assert eval_interval(identity(), Enclosure(F(1, 10), F(1, 5))).inside(F(1, 10), F(1, 5))
-    got = eval_interval(AffineMap(3, 0), Enclosure(F(-1), F(1)))
+    assert identity().eval_enclosure(Enclosure(F(1, 10), F(1, 5))).inside(F(1, 10), F(1, 5))
+    got = AffineMap(3, 0).eval_enclosure(Enclosure(F(-1), F(1)))
     assert got.lo == -3 and got.hi == 3
     th2 = build_theta(2)
-    img = eval_interval(th2, Enclosure(F(0), F(1, 10)))
+    img = th2.eval_enclosure(Enclosure(F(0), F(1, 10)))
     assert img.lo == 0 and img.hi == F(2) - F(9, 200)
     assert img.inside(F(0), F(2) - F(9, 200))
+
+
+def test_float_shift_rounds_outward():
+    enc = Enclosure(0.1, 0.1000001).shift(3)
+    assert isinstance(enc.lo, float) and isinstance(enc.hi, float)
+    assert enc.lo <= F(0.1) + 3 and F(0.1000001) + 3 <= enc.hi
+    exact = Enclosure(F(1, 10), F(1, 5), True).shift(3)
+    assert (exact.lo, exact.hi, exact.exact) == (F(31, 10), F(16, 5), True)
+
+
+TH2, TH3 = build_theta(2), build_theta(3)
+AFF = AffineMap(F(5, 2), F(-1, 3))
+HALF = F(1, 2)
+
+
+def _point(v):
+    return v, v
+
+
+# tree kind -> (tree, rational x -> (lo, hi) bracketing the true value, lo == hi
+# where it is rational); cubic inverses are bracketed 10^10 times tighter than
+# the enclosures they check
+TREE_KINDS = {
+    "theta": (TH3, lambda x: _point(TH3.eval_exact_point(x))),
+    "inverse theta": (invert(TH2), lambda x: TH2.invert_exact(x, F(1, 10**40))[:2]),
+    "affine": (AFF, lambda x: _point(F(5, 2) * x - F(1, 3))),
+    "translate conjugate": (TranslateConjugate(HALF, TH2),
+                            lambda x: _point(TH2.eval_exact_point(x - HALF) + HALF)),
+    "compose": (compose(TH3, invert(TH2)),
+                lambda x: tuple(TH3.eval_exact_point(v)
+                                for v in TH2.invert_exact(x, F(1, 10**40))[:2])),
+}
+
+
+@pytest.mark.parametrize("kind", TREE_KINDS)
+@given(x=rationals, xf=floats)
+@settings(max_examples=40, deadline=None)
+def test_enclosure_arithmetic_follows_endpoints(kind, x, xf):
+    tree, bracket = TREE_KINDS[kind]
+    lo, hi = bracket(x)
+    enc = tree.eval_enclosure(Enclosure.point(x))
+    assert isinstance(enc.lo, F) and isinstance(enc.hi, F)
+    if lo == hi:
+        assert enc.exact and enc.lo == enc.hi == lo
+    else:
+        # a cubic inverse of width <= 10^-30, stretched by at most Theta_3's slope
+        assert enc.lo <= lo and hi <= enc.hi and enc.width < 1000 * DEFAULT_INVERSE_WIDTH
+    lo, hi = bracket(F(xf))
+    enc = tree.eval_enclosure(Enclosure.point(xf))
+    assert isinstance(enc.lo, float) and isinstance(enc.hi, float) and not enc.exact
+    assert enc.lo <= lo and hi <= enc.hi
+
+
+PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def _sine_lift_value(amplitude: float, x: F) -> Decimal:
+    """x + amplitude*sin(2 pi x) to about 40 digits, by the Taylor series."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        xd = Decimal(x.numerator) / Decimal(x.denominator)
+        t = 2 * PI_50 * xd
+        term = total = t
+        k = 1
+        while abs(term) > Decimal(10) ** -50:
+            term = -term * t * t / ((2 * k) * (2 * k + 1))
+            total += term
+            k += 1
+        return xd + Decimal(amplitude) * total
+
+
+@given(x=rationals, xf=floats)
+@settings(max_examples=40, deadline=None)
+def test_sine_lift_enclosure_contains_true_value(x, xf):
+    s = sine_lift("1/100")
+    amplitude = s.sin_coeffs[0]
+    for point, exact_x in ((x, x), (xf, F(xf))):
+        enc = s.eval_enclosure(Enclosure.point(point))
+        assert isinstance(enc.lo, float) and not enc.exact
+        value = _sine_lift_value(amplitude, exact_x)
+        assert Decimal(enc.lo) <= value <= Decimal(enc.hi)
 
 
 def test_interval_soundness_through_inverse():
@@ -155,8 +238,9 @@ def test_trigpoly_monotone_certificate():
     assert s.monotonicity_margin() > 0.9
     with pytest.raises(ConstructionError):
         TrigPolyLift(1, 0.0, (), (0.5,))
-    with pytest.raises(PreconditionError):
-        s.eval_enclosure(Enclosure.point(F(1, 2)), mode="rational")
+    enc = s.eval_enclosure(Enclosure.point(F(1, 3)))
+    assert enc.to_json()["rounding"] == "outward-float"
+    assert enc.contains(s.eval_float(1 / 3))
 
 
 def test_fourier_smooth_tracks_theta():
