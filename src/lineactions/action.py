@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
+import numpy as np
+
 from .errors import ConstructionError, PreconditionError
 from .maps import (AffineMap, Enclosure, MapTree, TranslateConjugate,
                    build_theta, compose, fourier_smooth, from_spec, invert, rat,
@@ -143,14 +145,10 @@ class BSAction:
     def relation_residual(self, samples: int = 1000, lo: float = 0.0,
                           hi: float = 3.0) -> float:
         """sup |g(h^m(x)) - h^n(g(x))| over an even float sample of [lo, hi]."""
-        worst = 0.0
-        gm, gn = self.m, self.n
-        for i in range(samples):
-            x = lo + (hi - lo) * i / (samples - 1)
-            lhs = self.g.eval_float(x + gm)
-            rhs = self.g.eval_float(x) + gn
-            worst = max(worst, abs(lhs - rhs))
-        return worst
+        xs = lo + (hi - lo) * np.arange(samples) / (samples - 1)
+        lhs = self.g.eval_array(xs + self.m)
+        rhs = self.g.eval_array(xs) + self.n
+        return float(np.max(np.abs(lhs - rhs)))
 
     def relation_residual_exact(self, points,
                                 inverse_width: Fraction = Fraction(1, 2**20)) -> list:

@@ -2,454 +2,59 @@
 
 A map tree is built from leaves (affine maps, one-period fundamental-domain
 maps of integer degree, trigonometric-polynomial lifts) and nodes
-(composition, inverse, conjugation by a translation).  Trees have a fast
-plain float evaluation for estimators and a rigorous enclosure evaluation,
-whose arithmetic follows the type of the enclosure's endpoints:
+(composition, inverse, conjugation by a translation).  Trees have two plain
+float evaluations and a rigorous enclosure evaluation:
 
-* Fraction (or int) endpoints: rational leaves evaluate exactly; inverting a
-  cubic join piece yields a rational enclosure of prescribed width by
-  monotone bisection.
-* float endpoints: rational leaves compute exactly from the endpoints and
-  round the result outward to floats.
+* ``eval_float(x)`` maps one float.  It serves sequential orbits, where the
+  next point needs the previous one: translation numbers, bisections for
+  fixed points, orbit classification.
+* ``eval_array(xs)`` maps a 1-d float array with numpy and no per-point
+  Python loop.  It serves every evaluation over a grid: the conjugacy
+  solver and its relation and slope checks, the detector's scan, Fourier
+  smoothing's samples and ``BSAction.relation_residual``.  On trees with
+  rational leaves it is bit-identical to ``eval_float``; through a
+  trig-polynomial leaf the two differ only by the rounding of cos/sin and of
+  the harmonic sums.
+* ``eval_enclosure(enc)``, whose arithmetic follows the type of the
+  enclosure's endpoints:
+
+  - Fraction (or int) endpoints: rational leaves evaluate exactly; inverting
+    a cubic join piece yields a rational enclosure of prescribed width by
+    monotone bisection.
+  - float endpoints: rational leaves compute exactly from the endpoints and
+    round the result outward to floats.
 
 Trig-polynomial leaves have float coefficients: they round any input
 outward to floats and return padded float enclosures, so a path through one
 continues in outward-rounded floats.
 
-The degree-j covering lift Theta_j is built here: slope a/2 through the
-origin, slope a/2 affine ramp reaching j near 1, and a monotone cubic
-Hermite join on [a/2, a], extended to the line by F(x + k) = F(x) + j k.
+The rational pieces, the enclosure type and the rational leaves live in
+lineactions.pieces and are re-exported here; the trig-polynomial leaf, the
+nodes, the constructors, Fourier smoothing and the JSON specs live here.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ConstructionError, PreconditionError, RepresentationError
+from .pieces import (DEFAULT_INVERSE_WIDTH, AffineMap, AffinePiece, Enclosure,
+                     FundamentalDomainMap, HermitePiece, MapTree, ThetaMap, _float_down,
+                     _float_up, _image, rat, rat_str)
+from .pieces import decimal_down, decimal_up  # noqa: F401 (re-exported)
 
-Rat = Fraction
-Num = Union[Fraction, int, float]
-
-DEFAULT_INVERSE_WIDTH = Fraction(1, 10**30)
 FLOAT_INVERSE_WIDTH = 1e-14
+_EPS = 2.0 ** -52
+# largest temporary, in elements, of a blocked trig-polynomial array evaluation
+_BLOCK = 2 ** 16
 
 # ---------------------------------------------------------------------------
-# rational parsing / formatting
-
-
-def rat(value) -> Fraction:
-    """Parse a rational from int/Fraction/'p/q' string. Floats are converted exactly."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value.strip())
-    raise TypeError(f"cannot interpret {value!r} as a rational")
-
-
-def rat_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
-def decimal_down(q: Fraction, places: int = 30) -> str:
-    """Decimal string <= q, rounded toward minus infinity at `places` digits."""
-    scale = 10 ** places
-    n = math.floor(q * scale)
-    sign = "-" if n < 0 else ""
-    digits = str(abs(n)).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}".rstrip("0").rstrip(".") or "0"
-
-
-def decimal_up(q: Fraction, places: int = 30) -> str:
-    """Decimal string >= q, rounded toward plus infinity at `places` digits."""
-    scale = 10 ** places
-    n = math.ceil(q * scale)
-    sign = "-" if n < 0 else ""
-    digits = str(abs(n)).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}".rstrip("0").rstrip(".") or "0"
-
-
-def _next_up(x: float) -> float:
-    return math.nextafter(x, math.inf)
-
-
-def _next_down(x: float) -> float:
-    return math.nextafter(x, -math.inf)
-
-
-def _float_down(q) -> float:
-    """Largest float <= q for a float or an exact rational q."""
-    if isinstance(q, float):
-        return q
-    f = float(q)
-    return f if Fraction(f) <= q else _next_down(f)
-
-
-def _float_up(q) -> float:
-    if isinstance(q, float):
-        return q
-    f = float(q)
-    return f if Fraction(f) >= q else _next_up(f)
-
-
-# ---------------------------------------------------------------------------
-# rigorous intervals
-
-
-@dataclass(frozen=True)
-class Enclosure:
-    """Closed interval [lo, hi] guaranteed to contain the true value.
-
-    ``exact`` is True when lo == hi and no approximation occurred along the
-    evaluation path.
-    """
-
-    lo: Num
-    hi: Num
-    exact: bool = False
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ConstructionError(f"enclosure endpoints out of order: {self.lo} > {self.hi}")
-
-    @staticmethod
-    def point(x: Num) -> "Enclosure":
-        return Enclosure(x, x, exact=not isinstance(x, float))
-
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        return (float(self.lo) + float(self.hi)) / 2.0
-
-    @property
-    def rational_ends(self) -> tuple:
-        """(lo, hi) as exact rationals; float endpoints convert exactly."""
-        if isinstance(self.lo, float):
-            return Fraction(self.lo), Fraction(self.hi)
-        return self.lo, self.hi
-
-    def shift(self, k) -> "Enclosure":
-        lo, hi = self.rational_ends
-        return _image(self, lo + k, hi + k, self.exact)
-
-    def contains(self, x: Num) -> bool:
-        return self.lo <= x <= self.hi
-
-    def inside(self, lo: Num, hi: Num) -> bool:
-        return lo <= self.lo and self.hi <= hi
-
-    def to_json(self) -> dict:
-        if isinstance(self.lo, Fraction):
-            return {"lo": rat_str(self.lo), "hi": rat_str(self.hi),
-                    "lo_decimal": decimal_down(self.lo), "hi_decimal": decimal_up(self.hi),
-                    "rounding": "exact" if self.exact else "outward-rational"}
-        return {"lo": repr(self.lo), "hi": repr(self.hi), "rounding": "outward-float"}
-
-
-def _image(enc: Enclosure, lo: Fraction, hi: Fraction, exact: bool) -> Enclosure:
-    """[lo, hi], computed exactly from enc's endpoints, in enc's arithmetic:
-    exact Fractions for rational enc, rounded outward to floats for float enc."""
-    if isinstance(enc.lo, float):
-        return Enclosure(_float_down(lo), _float_up(hi), False)
-    return Enclosure(lo, hi, exact)
-
-
-# ---------------------------------------------------------------------------
-# leaf pieces
-
-
-class AffinePiece:
-    """y = slope*(x - lo) + value_lo on [lo, hi], slope > 0, exact rationals."""
-
-    __slots__ = ("lo", "hi", "value_lo", "slope", "_f")
-
-    def __init__(self, lo: Rat, hi: Rat, value_lo: Rat, slope: Rat):
-        if not slope > 0:
-            raise RepresentationError(f"affine piece slope must be positive, got {slope}")
-        if not lo < hi:
-            raise RepresentationError("degenerate piece interval")
-        self.lo, self.hi = lo, hi
-        self.value_lo, self.slope = value_lo, slope
-        self._f = (float(lo), float(value_lo), float(slope))
-
-    @property
-    def value_hi(self) -> Rat:
-        return self.value_lo + self.slope * (self.hi - self.lo)
-
-    def eval(self, x: Rat) -> Rat:
-        return self.value_lo + self.slope * (x - self.lo)
-
-    def eval_float(self, x: float) -> float:
-        lo, v, s = self._f
-        return v + s * (x - lo)
-
-    def invert(self, y: Rat) -> Rat:
-        return self.lo + (y - self.value_lo) / self.slope
-
-    def invert_float(self, y: float) -> float:
-        lo, v, s = self._f
-        return lo + (y - v) / s
-
-    def kind(self) -> str:
-        return "affine"
-
-    def piece_spec(self) -> dict:
-        return {"kind": "affine", "lo": rat_str(self.lo), "hi": rat_str(self.hi),
-                "value_lo": rat_str(self.value_lo), "slope": rat_str(self.slope)}
-
-
-class HermitePiece:
-    """Monotone cubic Hermite on [lo, hi] with rational endpoint values/slopes.
-
-    Monotonicity is certified at construction by the Fritsch-Carlson
-    sufficient condition: both endpoint slopes in (0, 3*secant].
-    """
-
-    __slots__ = ("lo", "hi", "value_lo", "value_hi", "slope_lo", "slope_hi", "coeffs", "_f")
-
-    def __init__(self, lo: Rat, hi: Rat, value_lo: Rat, value_hi: Rat,
-                 slope_lo: Rat, slope_hi: Rat):
-        if not lo < hi:
-            raise RepresentationError("degenerate piece interval")
-        h = hi - lo
-        secant = (value_hi - value_lo) / h
-        if secant <= 0:
-            raise RepresentationError("Hermite piece must increase")
-        for s in (slope_lo, slope_hi):
-            if not (0 < s <= 3 * secant):
-                raise ConstructionError(
-                    f"Fritsch-Carlson monotonicity condition violated: slope {s}, secant {secant}")
-        self.lo, self.hi = lo, hi
-        self.value_lo, self.value_hi = value_lo, value_hi
-        self.slope_lo, self.slope_hi = slope_lo, slope_hi
-        c2 = (3 * secant - 2 * slope_lo - slope_hi) / h
-        c3 = (slope_lo + slope_hi - 2 * secant) / (h * h)
-        self.coeffs = (value_lo, slope_lo, c2, c3)
-        self._f = (float(lo), tuple(float(c) for c in self.coeffs))
-
-    def eval(self, x: Rat) -> Rat:
-        c0, c1, c2, c3 = self.coeffs
-        u = x - self.lo
-        return c0 + u * (c1 + u * (c2 + u * c3))
-
-    def eval_float(self, x: float) -> float:
-        lo, (c0, c1, c2, c3) = self._f
-        u = x - lo
-        return c0 + u * (c1 + u * (c2 + u * c3))
-
-    def invert_enclosure(self, y: Rat, width: Fraction) -> tuple[Rat, Rat]:
-        """[a, b] with eval(a) <= y <= eval(b) and b - a <= width, by bisection."""
-        a, b = self.lo, self.hi
-        while b - a > width:
-            m = (a + b) / 2
-            if self.eval(m) <= y:
-                a = m
-            else:
-                b = m
-        return a, b
-
-    def invert_float(self, y: float) -> float:
-        a, b = float(self.lo), float(self.hi)
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            if self.eval_float(m) <= y:
-                a = m
-            else:
-                b = m
-        return 0.5 * (a + b)
-
-    def kind(self) -> str:
-        return "hermite"
-
-    def piece_spec(self) -> dict:
-        return {"kind": "hermite", "lo": rat_str(self.lo), "hi": rat_str(self.hi),
-                "value_lo": rat_str(self.value_lo), "value_hi": rat_str(self.value_hi),
-                "slope_lo": rat_str(self.slope_lo), "slope_hi": rat_str(self.slope_hi)}
-
-
-Piece = Union[AffinePiece, HermitePiece]
-
-
-# ---------------------------------------------------------------------------
-# map tree
-
-
-class MapTree:
-    """Base class. Subclasses are immutable and safe to share across threads."""
-
-    def eval_float(self, x: float) -> float:
-        raise NotImplementedError
-
-    def eval_enclosure(self, enc: Enclosure,
-                       inverse_width: Fraction = DEFAULT_INVERSE_WIDTH) -> Enclosure:
-        """Enclosure of F(enc) from its endpoints (F is increasing), in the
-        arithmetic of enc's endpoints; see the module docstring."""
-        raise NotImplementedError
-
-    def eval_exact(self, x: Num) -> Enclosure:
-        """Enclosure of F at the exact rational x: width 0 off the cubic
-        inverses on rational trees, outward-rounded floats once a
-        trig-polynomial leaf is on the path."""
-        return self.eval_enclosure(Enclosure.point(rat(x)))
-
-    def __call__(self, x: float) -> float:
-        return self.eval_float(x)
-
-    def to_spec(self) -> dict:
-        raise NotImplementedError
-
-
-class AffineMap(MapTree):
-    """x -> slope*x + offset on all of R, slope > 0."""
-
-    def __init__(self, slope, offset):
-        self.slope, self.offset = rat(slope), rat(offset)
-        if not self.slope > 0:
-            raise RepresentationError("affine map must have positive slope")
-
-    def eval_float(self, x):
-        return float(self.slope) * x + float(self.offset)
-
-    def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
-        lo, hi = enc.rational_ends
-        return _image(enc, self.slope * lo + self.offset, self.slope * hi + self.offset,
-                      enc.exact)
-
-    def to_spec(self):
-        return {"kind": "affine", "slope": rat_str(self.slope), "offset": rat_str(self.offset)}
-
-    def __repr__(self):
-        return f"AffineMap({self.slope}x + {self.offset})"
-
-
-class FundamentalDomainMap(MapTree):
-    """Piecewise map on one period [x_lo, x_lo + 1), degree-j equivariant extension.
-
-    Pieces tile [x_lo, x_lo + 1) exactly; adjacent pieces agree at shared
-    endpoints and the wraparound value matches F(x_lo) + degree.
-    """
-
-    def __init__(self, pieces: Sequence[Piece], degree: int, label: str = ""):
-        if degree < 1:
-            raise RepresentationError(f"degree must be a positive integer, got {degree}")
-        pieces = list(pieces)
-        if not pieces:
-            raise RepresentationError("no pieces")
-        x_lo = pieces[0].lo
-        if pieces[-1].hi - x_lo != 1:
-            raise RepresentationError("pieces must tile exactly one period")
-        for left, right in zip(pieces, pieces[1:]):
-            if left.hi != right.lo:
-                raise RepresentationError("pieces must tile contiguously")
-            if left.eval(left.hi) != right.eval(right.lo):
-                raise RepresentationError(f"value discontinuity at {left.hi}")
-        last = pieces[-1]
-        if last.eval(last.hi) != pieces[0].eval(x_lo) + degree:
-            raise RepresentationError("wraparound violates the equivariance rule")
-        self.pieces = tuple(pieces)
-        self.degree = degree
-        self.label = label
-        self.x_lo = x_lo
-        self.value_lo = pieces[0].eval(x_lo)
-        self._breaks = [float(p.lo) for p in pieces]
-        self._breaks_exact = [p.lo for p in pieces]
-        self._value_breaks = [p.eval(p.lo) for p in pieces]
-        self._value_breaks_f = [float(v) for v in self._value_breaks]
-        self._x_lo_f = float(x_lo)
-        self._value_lo_f = float(self.value_lo)
-
-    def _piece_at(self, xr: Rat) -> Piece:
-        i = bisect.bisect_right(self._breaks_exact, xr) - 1
-        return self.pieces[max(0, min(i, len(self.pieces) - 1))]
-
-    def eval_exact_point(self, x: Rat) -> Rat:
-        k = math.floor(x - self.x_lo)
-        xr = x - k
-        if xr == self.x_lo + 1:  # guard against Fraction floor edge
-            k += 1
-            xr -= 1
-        return self._piece_at(xr).eval(xr) + self.degree * k
-
-    def eval_float(self, x):
-        k = math.floor(x - self._x_lo_f)
-        xr = x - k
-        i = bisect.bisect_right(self._breaks, xr) - 1
-        i = max(0, min(i, len(self.pieces) - 1))
-        return self.pieces[i].eval_float(xr) + self.degree * k
-
-    def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
-        lo, hi = enc.rational_ends
-        return _image(enc, self.eval_exact_point(lo), self.eval_exact_point(hi), enc.exact)
-
-    def invert_exact(self, y: Rat, width: Fraction) -> tuple[Rat, Rat, bool]:
-        """(lo, hi, exact) enclosing F^{-1}(y); exact on affine pieces."""
-        k = math.floor((y - self.value_lo) / self.degree)
-        yr = y - self.degree * k
-        if yr == self.value_lo + self.degree:
-            k += 1
-            yr -= self.degree
-        i = bisect.bisect_right(self._value_breaks, yr) - 1
-        i = max(0, min(i, len(self.pieces) - 1))
-        piece = self.pieces[i]
-        if isinstance(piece, AffinePiece):
-            x = piece.invert(yr)
-            return x + k, x + k, True
-        a, b = piece.invert_enclosure(yr, width)
-        return a + k, b + k, False
-
-    def invert_float(self, y: float) -> float:
-        k = math.floor((y - self._value_lo_f) / self.degree)
-        yr = y - self.degree * k
-        i = bisect.bisect_right(self._value_breaks_f, yr) - 1
-        i = max(0, min(i, len(self.pieces) - 1))
-        return self.pieces[i].invert_float(yr) + k
-
-    def to_spec(self):
-        return {"kind": "fundamental", "degree": self.degree, "label": self.label,
-                "pieces": [p.piece_spec() for p in self.pieces]}
-
-    def __repr__(self):
-        return f"FundamentalDomainMap(degree={self.degree}, label={self.label!r})"
-
-
-class ThetaMap(FundamentalDomainMap):
-    """The degree-j covering lift: (a/2)x near 0, ramp j + (a/2)(x-1) past a."""
-
-    def __init__(self, j: int, a: Rat = Fraction(1, 10)):
-        a = rat(a)
-        if not (0 < a < Fraction(1, 2)):
-            raise PreconditionError(f"need 0 < a < 1/2, got {a}")
-        if j < 1:
-            raise PreconditionError(f"degree must be >= 1, got {j}")
-        half = a / 2
-        slope = a / 2
-        # linear through 0 on [-a/2, a/2], Hermite join on [a/2, a],
-        # ramp on [a, 1 - a/2] (the ramp formula continues to 1 + a/2; one
-        # period suffices, the extension rule supplies the rest).
-        p1 = AffinePiece(-half, half, -half * slope, slope)
-        join_lo_val = slope * half
-        join_hi_val = j + slope * (a - 1)
-        p2 = HermitePiece(half, a, join_lo_val, join_hi_val, slope, slope)
-        p3 = AffinePiece(a, 1 - half, join_hi_val, slope)
-        super().__init__([p1, p2, p3], degree=j, label=f"theta_{j}")
-        self.j = j
-        self.a = a
-
-    def to_spec(self):
-        return {"kind": "theta", "j": self.j, "a": rat_str(self.a)}
-
-    def __repr__(self):
-        return f"ThetaMap(j={self.j}, a={self.a})"
+# trig-polynomial leaf
 
 
 class TrigPolyLift(MapTree):
@@ -473,17 +78,23 @@ class TrigPolyLift(MapTree):
         n = max(len(self.cos_coeffs), len(self.sin_coeffs))
         self.cos_coeffs += (0.0,) * (n - len(self.cos_coeffs))
         self.sin_coeffs += (0.0,) * (n - len(self.sin_coeffs))
-        self._np = None
-        if n > 8:
-            import numpy as np
-            ks = np.arange(1, n + 1, dtype=float)
-            self._np = (2 * math.pi * ks, np.array(self.cos_coeffs),
-                        np.array(self.sin_coeffs))
+        # harmonic frequencies 2 pi k and the weights of F and F' in them;
+        # the scalar path switches to numpy dot products above 8 harmonics
+        wk = 2 * math.pi * np.arange(1, n + 1, dtype=float)
+        ac, bs = np.array(self.cos_coeffs), np.array(self.sin_coeffs)
+        self._wk, self._ac, self._bs = wk, ac, bs
+        self._aw, self._bw = ac * wk, bs * wk
+        self._spectral = n > 8
+        # error model of eval_float, for _pad
+        self._amplitude = abs(self.a0) + float(np.sum(np.abs(ac) + np.abs(bs)))
+        self._err_const = _EPS * (n + 3) * self._amplitude
+        self._err_per_x = 2 * _EPS * float(np.sum(np.abs(self._aw) + np.abs(self._bw)))
         self._deriv_min = None
         wit = self.monotonicity_margin()
         if wit <= 0:
             raise ConstructionError(
                 f"cannot certify monotonicity: derivative lower bound {wit:.3g} <= 0")
+        self._f0 = self.eval_float(0.0)
 
     def monotonicity_margin(self) -> float:
         """Certified lower bound for F' over a period (cached).
@@ -494,7 +105,6 @@ class TrigPolyLift(MapTree):
         """
         if self._deriv_min is not None:
             return self._deriv_min
-        import numpy as np
         two_pi = 2 * math.pi
         n = len(self.cos_coeffs)
         m2 = sum((two_pi * k) ** 2 * (abs(a) + abs(b))
@@ -518,11 +128,10 @@ class TrigPolyLift(MapTree):
         return self._deriv_min
 
     def _periodic(self, x: float) -> float:
-        if self._np is not None:
-            wk, ac, bs = self._np
-            phases = wk * x
-            import numpy as np
-            return self.a0 + float(np.dot(ac, np.cos(phases)) + np.dot(bs, np.sin(phases)))
+        if self._spectral:
+            phases = self._wk * x
+            return self.a0 + float(np.dot(self._ac, np.cos(phases))
+                                   + np.dot(self._bs, np.sin(phases)))
         two_pi = 2 * math.pi
         s = self.a0
         for k, (a, b) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), start=1):
@@ -532,21 +141,51 @@ class TrigPolyLift(MapTree):
     def eval_float(self, x):
         return self.degree * x + self._periodic(x)
 
-    # evaluation error guard for the padded enclosure; generous for <= 256 terms
+    def _series(self, xs: np.ndarray, *weights) -> np.ndarray:
+        """Row j: sum_k cw_k cos(2 pi k x) + sw_k sin(2 pi k x) at each x in xs,
+        for the j-th pair (cw, sw) of weights; blocks of rows keep every
+        temporary under _BLOCK elements."""
+        out = np.empty((len(weights), len(xs)))
+        rows = max(1, _BLOCK // max(1, len(self._wk)))
+        for s in range(0, len(xs), rows):
+            phases = np.multiply.outer(xs[s:s + rows], self._wk)
+            cos, sin = np.cos(phases), np.sin(phases)
+            for j, (cw, sw) in enumerate(weights):
+                out[j, s:s + rows] = (cos * cw).sum(1) + (sin * sw).sum(1)
+        return out
+
+    def eval_array(self, xs):
+        return self.degree * xs + (self.a0 + self._series(xs, (self._ac, self._bs))[0])
+
+    # least pad of the enclosure, kept as the floor of the derived pad
     _PAD = 1e-12
 
+    def _pad(self, x: float) -> float:
+        """Bound on |eval_float(x) - F(x)|, at least _PAD.
+
+        With u = 2^-53: each phase 2 pi k x is three roundings off (pi, the
+        product by k, the product by x), which moves its term by at most
+        3u * 2 pi k |x| (|a_k| + |b_k|); cos and sin (at most 4 ulp), the
+        products by the coefficients and the 2N + 1 term sum cost at most
+        u (2N + 5) times |a0| + sum |a_k| + |b_k|; the product degree * x and
+        the final sum cost at most one ulp of degree |x| plus that amplitude.
+        _err_per_x and _err_const hold the first two with eps = 2u.
+        """
+        ax = abs(x)
+        err = (math.ulp(self.degree * ax + self._amplitude) + self._err_const
+               + self._err_per_x * ax)
+        return max(self._PAD, err)
+
     def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
-        lo = self.eval_float(_float_down(enc.lo)) - self._PAD
-        hi = self.eval_float(_float_up(enc.hi)) + self._PAD
-        return Enclosure(lo, hi, False)
+        lo, hi = _float_down(enc.lo), _float_up(enc.hi)
+        return Enclosure(self.eval_float(lo) - self._pad(lo),
+                         self.eval_float(hi) + self._pad(hi), False)
 
     def _deriv(self, x: float) -> float:
-        if self._np is not None:
-            import numpy as np
-            wk, ac, bs = self._np
-            phases = wk * x
-            return self.degree + float(np.dot(bs * wk, np.cos(phases))
-                                       - np.dot(ac * wk, np.sin(phases)))
+        if self._spectral:
+            phases = self._wk * x
+            return self.degree + float(np.dot(self._bw, np.cos(phases))
+                                       - np.dot(self._aw, np.sin(phases)))
         two_pi = 2 * math.pi
         d = float(self.degree)
         for k, (a, b) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), start=1):
@@ -555,8 +194,7 @@ class TrigPolyLift(MapTree):
 
     def invert_float(self, y: float) -> float:
         # equivariance gives a one-period bracket: F(k) <= y < F(k+1)
-        f0 = self.eval_float(0.0)
-        k = math.floor((y - f0) / self.degree)
+        k = math.floor((y - self._f0) / self.degree)
         a, b = float(k), float(k) + 1.0
         while self.eval_float(a) > y:
             a, b = a - 1.0, a
@@ -578,6 +216,41 @@ class TrigPolyLift(MapTree):
             x = xn
             if b - a <= FLOAT_INVERSE_WIDTH * max(1.0, abs(x)):
                 break
+        return x
+
+    def invert_array(self, ys: np.ndarray) -> np.ndarray:
+        """invert_float at each element: the same bracket, Newton step and
+        stopping tests, run on arrays; an element is frozen once it stops."""
+        a = np.floor((ys - self._f0) / self.degree)
+        b = a + 1.0
+        todo = np.flatnonzero(self.eval_array(a) > ys)
+        while todo.size:
+            b[todo] = a[todo]
+            a[todo] -= 1.0
+            todo = todo[self.eval_array(a[todo]) > ys[todo]]
+        todo = np.flatnonzero(self.eval_array(b) < ys)
+        while todo.size:
+            a[todo] = b[todo]
+            b[todo] += 1.0
+            todo = todo[self.eval_array(b[todo]) < ys[todo]]
+        x = a + (b - a) * 0.5
+        todo = np.arange(len(ys))
+        for _ in range(80):
+            if not todo.size:
+                break
+            xt, yt = x[todo], ys[todo]
+            per, slope = self._series(xt, (self._ac, self._bs), (self._bw, -self._aw))
+            fx = self.degree * xt + (self.a0 + per) - yt
+            going = np.abs(fx) > 1e-14 * np.maximum(1.0, np.abs(yt))
+            todo, xt, fx, d = todo[going], xt[going], fx[going], self.degree + slope[going]
+            at, bt = np.where(fx < 0, xt, a[todo]), np.where(fx < 0, b[todo], xt)
+            a[todo], b[todo] = at, bt
+            mid = 0.5 * (at + bt)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xn = np.where(d > 0, xt - fx / d, mid)
+            xn = np.where((at < xn) & (xn < bt), xn, mid)
+            x[todo] = xn
+            todo = todo[bt - at > FLOAT_INVERSE_WIDTH * np.maximum(1.0, np.abs(xn))]
         return x
 
     def to_spec(self):
@@ -609,6 +282,11 @@ class Compose(MapTree):
             x = p.eval_float(x)
         return x
 
+    def eval_array(self, xs):
+        for p in reversed(self.parts):
+            xs = p.eval_array(xs)
+        return xs
+
     def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
         for p in reversed(self.parts):
             enc = p.eval_enclosure(enc, inverse_width)
@@ -622,17 +300,17 @@ class Inverse(MapTree):
     """Inverse of a leaf map (compositions and conjugations are pushed down by invert())."""
 
     def __init__(self, inner: MapTree):
-        if isinstance(inner, (Compose, Inverse, TranslateConjugate)):
-            raise ConstructionError("build inverses with invert(), which normalizes the tree")
+        if not isinstance(inner, (FundamentalDomainMap, TrigPolyLift)):
+            raise ConstructionError(
+                f"cannot invert {inner!r} as a leaf; build inverses with invert(), "
+                "which normalizes the tree")
         self.inner = inner
 
     def eval_float(self, x):
-        inner = self.inner
-        if isinstance(inner, FundamentalDomainMap):
-            return inner.invert_float(x)
-        if isinstance(inner, TrigPolyLift):
-            return inner.invert_float(x)
-        raise ConstructionError(f"cannot invert leaf {inner!r}")
+        return self.inner.invert_float(x)
+
+    def eval_array(self, xs):
+        return self.inner.invert_array(xs)
 
     def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
         inner = self.inner
@@ -643,11 +321,9 @@ class Inverse(MapTree):
             lo, _, ex1 = inner.invert_exact(lo, inverse_width)
             _, hi, ex2 = inner.invert_exact(hi, inverse_width)
             return _image(enc, lo, hi, enc.exact and ex1 and ex2 and lo == hi)
-        if isinstance(inner, TrigPolyLift):
-            pad = 4 * TrigPolyLift._PAD
-            return Enclosure(inner.invert_float(_float_down(enc.lo)) - pad,
-                             inner.invert_float(_float_up(enc.hi)) + pad, False)
-        raise ConstructionError(f"cannot invert leaf {inner!r}")
+        pad = 4 * TrigPolyLift._PAD
+        return Enclosure(inner.invert_float(_float_down(enc.lo)) - pad,
+                         inner.invert_float(_float_up(enc.hi)) + pad, False)
 
     def to_spec(self):
         return {"kind": "inverse", "of": self.inner.to_spec()}
@@ -659,10 +335,15 @@ class TranslateConjugate(MapTree):
     def __init__(self, shift, inner: MapTree):
         self.shift = rat(shift)
         self.inner = inner
+        self._shift_f = float(self.shift)
 
     def eval_float(self, x):
-        s = float(self.shift)
+        s = self._shift_f
         return self.inner.eval_float(x - s) + s
+
+    def eval_array(self, xs):
+        s = self._shift_f
+        return self.inner.eval_array(xs - s) + s
 
     def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
         s = self.shift
@@ -787,7 +468,7 @@ def eval_float_traced(f: MapTree, x: float) -> tuple[float, bool]:
             exact = exact and flag
         return x, exact
     if isinstance(f, TranslateConjugate):
-        s = float(f.shift)
+        s = f._shift_f
         v, flag = eval_float_traced(f.inner, x - s)
         return v + s, flag
     return f.eval_float(x), False
@@ -807,8 +488,6 @@ def fourier_smooth(f: MapTree, degree_hint: int, harmonics: int,
     faster but only becomes monotone at high degree.  The result must be
     re-verified against whatever inclusions the caller relies on.
     """
-    import numpy as np
-
     if harmonics < 1:
         raise PreconditionError("need harmonics >= 1")
     if kernel not in ("fejer", "truncate"):
@@ -820,7 +499,7 @@ def fourier_smooth(f: MapTree, degree_hint: int, harmonics: int,
     if samples < 4 * harmonics:
         raise PreconditionError("need samples >= 4*harmonics")
     xs = np.arange(samples) / samples
-    per = np.array([f.eval_float(float(x)) - degree_hint * float(x) for x in xs])
+    per = f.eval_array(xs) - degree_hint * xs
     spec = np.fft.rfft(per) / samples
     if kernel == "fejer":
         weights = 1.0 - np.arange(harmonics + 1) / (harmonics + 1)

@@ -1,0 +1,496 @@
+"""Exact rational building blocks of the map trees of lineactions.maps.
+
+Rational parsing and formatting, the rigorous interval type Enclosure, the
+affine and monotone cubic Hermite pieces, the MapTree base class and the
+rational leaves: AffineMap and the one-period FundamentalDomainMap with its
+covering lifts ThetaMap.  lineactions.maps re-exports every public name here;
+import them from there.
+
+The degree-j covering lift Theta_j is built here: slope a/2 through the
+origin, slope a/2 affine ramp reaching j near 1, and a monotone cubic
+Hermite join on [a/2, a], extended to the line by F(x + k) = F(x) + j k.
+"""
+
+from __future__ import annotations
+
+import bisect
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence, Union
+
+import numpy as np
+
+from .errors import ConstructionError, PreconditionError, RepresentationError
+
+Rat = Fraction
+Num = Union[Fraction, int, float]
+
+DEFAULT_INVERSE_WIDTH = Fraction(1, 10**30)
+
+# ---------------------------------------------------------------------------
+# rational parsing / formatting
+
+
+def rat(value) -> Fraction:
+    """Parse a rational from int/Fraction/'p/q' string. Floats are converted exactly."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        return Fraction(value)
+    if isinstance(value, str):
+        return Fraction(value.strip())
+    raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def rat_str(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+
+
+def decimal_down(q: Fraction, places: int = 30) -> str:
+    """Decimal string <= q, rounded toward minus infinity at `places` digits."""
+    scale = 10 ** places
+    n = math.floor(q * scale)
+    sign = "-" if n < 0 else ""
+    digits = str(abs(n)).rjust(places + 1, "0")
+    return f"{sign}{digits[:-places]}.{digits[-places:]}".rstrip("0").rstrip(".") or "0"
+
+
+def decimal_up(q: Fraction, places: int = 30) -> str:
+    """Decimal string >= q, rounded toward plus infinity at `places` digits."""
+    scale = 10 ** places
+    n = math.ceil(q * scale)
+    sign = "-" if n < 0 else ""
+    digits = str(abs(n)).rjust(places + 1, "0")
+    return f"{sign}{digits[:-places]}.{digits[-places:]}".rstrip("0").rstrip(".") or "0"
+
+
+def _next_up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def _next_down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def _float_down(q) -> float:
+    """Largest float <= q for a float or an exact rational q."""
+    if isinstance(q, float):
+        return q
+    f = float(q)
+    return f if Fraction(f) <= q else _next_down(f)
+
+
+def _float_up(q) -> float:
+    if isinstance(q, float):
+        return q
+    f = float(q)
+    return f if Fraction(f) >= q else _next_up(f)
+
+
+# ---------------------------------------------------------------------------
+# rigorous intervals
+
+
+@dataclass(frozen=True)
+class Enclosure:
+    """Closed interval [lo, hi] guaranteed to contain the true value.
+
+    ``exact`` is True when lo == hi and no approximation occurred along the
+    evaluation path.
+    """
+
+    lo: Num
+    hi: Num
+    exact: bool = False
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ConstructionError(f"enclosure endpoints out of order: {self.lo} > {self.hi}")
+
+    @staticmethod
+    def point(x: Num) -> "Enclosure":
+        return Enclosure(x, x, exact=not isinstance(x, float))
+
+    @property
+    def width(self):
+        return self.hi - self.lo
+
+    @property
+    def mid(self) -> float:
+        return (float(self.lo) + float(self.hi)) / 2.0
+
+    @property
+    def rational_ends(self) -> tuple:
+        """(lo, hi) as exact rationals; float endpoints convert exactly."""
+        if isinstance(self.lo, float):
+            return Fraction(self.lo), Fraction(self.hi)
+        return self.lo, self.hi
+
+    def shift(self, k) -> "Enclosure":
+        lo, hi = self.rational_ends
+        return _image(self, lo + k, hi + k, self.exact)
+
+    def contains(self, x: Num) -> bool:
+        return self.lo <= x <= self.hi
+
+    def inside(self, lo: Num, hi: Num) -> bool:
+        return lo <= self.lo and self.hi <= hi
+
+    def to_json(self) -> dict:
+        if isinstance(self.lo, Fraction):
+            return {"lo": rat_str(self.lo), "hi": rat_str(self.hi),
+                    "lo_decimal": decimal_down(self.lo), "hi_decimal": decimal_up(self.hi),
+                    "rounding": "exact" if self.exact else "outward-rational"}
+        return {"lo": repr(self.lo), "hi": repr(self.hi), "rounding": "outward-float"}
+
+
+def _image(enc: Enclosure, lo: Fraction, hi: Fraction, exact: bool) -> Enclosure:
+    """[lo, hi], computed exactly from enc's endpoints, in enc's arithmetic:
+    exact Fractions for rational enc, rounded outward to floats for float enc."""
+    if isinstance(enc.lo, float):
+        return Enclosure(_float_down(lo), _float_up(hi), False)
+    return Enclosure(lo, hi, exact)
+
+
+# ---------------------------------------------------------------------------
+# leaf pieces
+
+
+class AffinePiece:
+    """y = slope*(x - lo) + value_lo on [lo, hi], slope > 0, exact rationals."""
+
+    __slots__ = ("lo", "hi", "value_lo", "slope", "_f")
+
+    def __init__(self, lo: Rat, hi: Rat, value_lo: Rat, slope: Rat):
+        if not slope > 0:
+            raise RepresentationError(f"affine piece slope must be positive, got {slope}")
+        if not lo < hi:
+            raise RepresentationError("degenerate piece interval")
+        self.lo, self.hi = lo, hi
+        self.value_lo, self.slope = value_lo, slope
+        self._f = (float(lo), float(value_lo), float(slope))
+
+    @property
+    def value_hi(self) -> Rat:
+        return self.value_lo + self.slope * (self.hi - self.lo)
+
+    def eval(self, x: Rat) -> Rat:
+        return self.value_lo + self.slope * (x - self.lo)
+
+    def eval_float(self, x: float) -> float:
+        lo, v, s = self._f
+        return v + s * (x - lo)
+
+    def invert(self, y: Rat) -> Rat:
+        return self.lo + (y - self.value_lo) / self.slope
+
+    def invert_float(self, y: float) -> float:
+        lo, v, s = self._f
+        return lo + (y - v) / s
+
+    def kind(self) -> str:
+        return "affine"
+
+    def piece_spec(self) -> dict:
+        return {"kind": "affine", "lo": rat_str(self.lo), "hi": rat_str(self.hi),
+                "value_lo": rat_str(self.value_lo), "slope": rat_str(self.slope)}
+
+
+class HermitePiece:
+    """Monotone cubic Hermite on [lo, hi] with rational endpoint values/slopes.
+
+    Monotonicity is certified at construction by the Fritsch-Carlson
+    sufficient condition: both endpoint slopes in (0, 3*secant].
+    """
+
+    __slots__ = ("lo", "hi", "value_lo", "value_hi", "slope_lo", "slope_hi", "coeffs", "_f")
+
+    def __init__(self, lo: Rat, hi: Rat, value_lo: Rat, value_hi: Rat,
+                 slope_lo: Rat, slope_hi: Rat):
+        if not lo < hi:
+            raise RepresentationError("degenerate piece interval")
+        h = hi - lo
+        secant = (value_hi - value_lo) / h
+        if secant <= 0:
+            raise RepresentationError("Hermite piece must increase")
+        for s in (slope_lo, slope_hi):
+            if not (0 < s <= 3 * secant):
+                raise ConstructionError(
+                    f"Fritsch-Carlson monotonicity condition violated: slope {s}, secant {secant}")
+        self.lo, self.hi = lo, hi
+        self.value_lo, self.value_hi = value_lo, value_hi
+        self.slope_lo, self.slope_hi = slope_lo, slope_hi
+        c2 = (3 * secant - 2 * slope_lo - slope_hi) / h
+        c3 = (slope_lo + slope_hi - 2 * secant) / (h * h)
+        self.coeffs = (value_lo, slope_lo, c2, c3)
+        self._f = (float(lo), tuple(float(c) for c in self.coeffs))
+
+    def eval(self, x: Rat) -> Rat:
+        c0, c1, c2, c3 = self.coeffs
+        u = x - self.lo
+        return c0 + u * (c1 + u * (c2 + u * c3))
+
+    def eval_float(self, x: float) -> float:
+        lo, (c0, c1, c2, c3) = self._f
+        u = x - lo
+        return c0 + u * (c1 + u * (c2 + u * c3))
+
+    def invert_enclosure(self, y: Rat, width: Fraction) -> tuple[Rat, Rat]:
+        """[a, b] with eval(a) <= y <= eval(b) and b - a <= width, by bisection."""
+        a, b = self.lo, self.hi
+        while b - a > width:
+            m = (a + b) / 2
+            if self.eval(m) <= y:
+                a = m
+            else:
+                b = m
+        return a, b
+
+    def invert_float(self, y: float) -> float:
+        a, b = float(self.lo), float(self.hi)
+        for _ in range(60):
+            m = 0.5 * (a + b)
+            if self.eval_float(m) <= y:
+                a = m
+            else:
+                b = m
+        return 0.5 * (a + b)
+
+    def kind(self) -> str:
+        return "hermite"
+
+    def piece_spec(self) -> dict:
+        return {"kind": "hermite", "lo": rat_str(self.lo), "hi": rat_str(self.hi),
+                "value_lo": rat_str(self.value_lo), "value_hi": rat_str(self.value_hi),
+                "slope_lo": rat_str(self.slope_lo), "slope_hi": rat_str(self.slope_hi)}
+
+
+Piece = Union[AffinePiece, HermitePiece]
+
+
+# ---------------------------------------------------------------------------
+# map tree
+
+
+class MapTree:
+    """Base class. Subclasses are immutable and safe to share across threads."""
+
+    def eval_float(self, x: float) -> float:
+        raise NotImplementedError
+
+    def eval_array(self, xs: np.ndarray) -> np.ndarray:
+        """F at each element of a 1-d float array; see the module docstring."""
+        raise NotImplementedError
+
+    def eval_enclosure(self, enc: Enclosure,
+                       inverse_width: Fraction = DEFAULT_INVERSE_WIDTH) -> Enclosure:
+        """Enclosure of F(enc) from its endpoints (F is increasing), in the
+        arithmetic of enc's endpoints; see the module docstring."""
+        raise NotImplementedError
+
+    def eval_exact(self, x: Num) -> Enclosure:
+        """Enclosure of F at the exact rational x: width 0 off the cubic
+        inverses on rational trees, outward-rounded floats once a
+        trig-polynomial leaf is on the path."""
+        return self.eval_enclosure(Enclosure.point(rat(x)))
+
+    def __call__(self, x: float) -> float:
+        return self.eval_float(x)
+
+    def to_spec(self) -> dict:
+        raise NotImplementedError
+
+
+class AffineMap(MapTree):
+    """x -> slope*x + offset on all of R, slope > 0."""
+
+    def __init__(self, slope, offset):
+        self.slope, self.offset = rat(slope), rat(offset)
+        if not self.slope > 0:
+            raise RepresentationError("affine map must have positive slope")
+        self._f = (float(self.slope), float(self.offset))
+
+    def eval_float(self, x):
+        s, o = self._f
+        return s * x + o
+
+    def eval_array(self, xs):
+        s, o = self._f
+        return s * xs + o
+
+    def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
+        lo, hi = enc.rational_ends
+        return _image(enc, self.slope * lo + self.offset, self.slope * hi + self.offset,
+                      enc.exact)
+
+    def to_spec(self):
+        return {"kind": "affine", "slope": rat_str(self.slope), "offset": rat_str(self.offset)}
+
+    def __repr__(self):
+        return f"AffineMap({self.slope}x + {self.offset})"
+
+
+class FundamentalDomainMap(MapTree):
+    """Piecewise map on one period [x_lo, x_lo + 1), degree-j equivariant extension.
+
+    Pieces tile [x_lo, x_lo + 1) exactly; adjacent pieces agree at shared
+    endpoints and the wraparound value matches F(x_lo) + degree.
+    """
+
+    def __init__(self, pieces: Sequence[Piece], degree: int, label: str = ""):
+        if degree < 1:
+            raise RepresentationError(f"degree must be a positive integer, got {degree}")
+        pieces = list(pieces)
+        if not pieces:
+            raise RepresentationError("no pieces")
+        x_lo = pieces[0].lo
+        if pieces[-1].hi - x_lo != 1:
+            raise RepresentationError("pieces must tile exactly one period")
+        for left, right in zip(pieces, pieces[1:]):
+            if left.hi != right.lo:
+                raise RepresentationError("pieces must tile contiguously")
+            if left.eval(left.hi) != right.eval(right.lo):
+                raise RepresentationError(f"value discontinuity at {left.hi}")
+        last = pieces[-1]
+        if last.eval(last.hi) != pieces[0].eval(x_lo) + degree:
+            raise RepresentationError("wraparound violates the equivariance rule")
+        self.pieces = tuple(pieces)
+        self.degree = degree
+        self.label = label
+        self.x_lo = x_lo
+        self.value_lo = pieces[0].eval(x_lo)
+        self._breaks = [float(p.lo) for p in pieces]
+        self._breaks_exact = [p.lo for p in pieces]
+        self._value_breaks = [p.eval(p.lo) for p in pieces]
+        self._value_breaks_f = [float(v) for v in self._value_breaks]
+        self._x_lo_f = float(x_lo)
+        self._value_lo_f = float(self.value_lo)
+        # per-piece float arrays for eval_array: the cubic (c0, c1, c2, c3) in
+        # u = x - lo (c2 = c3 = 0 on affine pieces), the piece ends, and which
+        # pieces need bisection to invert
+        hermite = [isinstance(p, HermitePiece) for p in pieces]
+        self._cubic = np.array([p._f[1] if h else p._f[1:] + (0.0, 0.0)
+                                for p, h in zip(pieces, hermite)]).T
+        self._hermite = np.array(hermite)
+        self._lo_arr = np.array(self._breaks)
+        self._hi_arr = np.array([float(p.hi) for p in pieces])
+        self._value_lo_arr = np.array(self._value_breaks_f)
+
+    def _piece_at(self, xr: Rat) -> Piece:
+        i = bisect.bisect_right(self._breaks_exact, xr) - 1
+        return self.pieces[max(0, min(i, len(self.pieces) - 1))]
+
+    def eval_exact_point(self, x: Rat) -> Rat:
+        k = math.floor(x - self.x_lo)
+        xr = x - k
+        if xr == self.x_lo + 1:  # guard against Fraction floor edge
+            k += 1
+            xr -= 1
+        return self._piece_at(xr).eval(xr) + self.degree * k
+
+    def eval_float(self, x):
+        k = math.floor(x - self._x_lo_f)
+        xr = x - k
+        i = bisect.bisect_right(self._breaks, xr) - 1
+        i = max(0, min(i, len(self.pieces) - 1))
+        return self.pieces[i].eval_float(xr) + self.degree * k
+
+    def _cubic_at(self, i: np.ndarray, xr: np.ndarray) -> np.ndarray:
+        """Piece i[j] at xr[j], by eval_float's Horner scheme."""
+        c0, c1, c2, c3 = self._cubic[:, i]
+        u = xr - self._lo_arr[i]
+        return c0 + u * (c1 + u * (c2 + u * c3))
+
+    def eval_array(self, xs):
+        k = np.floor(xs - self._x_lo_f)
+        xr = xs - k
+        i = np.searchsorted(self._lo_arr, xr, side="right") - 1
+        i = np.clip(i, 0, len(self.pieces) - 1)
+        return self._cubic_at(i, xr) + self.degree * k
+
+    def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
+        lo, hi = enc.rational_ends
+        return _image(enc, self.eval_exact_point(lo), self.eval_exact_point(hi), enc.exact)
+
+    def invert_exact(self, y: Rat, width: Fraction) -> tuple[Rat, Rat, bool]:
+        """(lo, hi, exact) enclosing F^{-1}(y); exact on affine pieces."""
+        k = math.floor((y - self.value_lo) / self.degree)
+        yr = y - self.degree * k
+        if yr == self.value_lo + self.degree:
+            k += 1
+            yr -= self.degree
+        i = bisect.bisect_right(self._value_breaks, yr) - 1
+        i = max(0, min(i, len(self.pieces) - 1))
+        piece = self.pieces[i]
+        if isinstance(piece, AffinePiece):
+            x = piece.invert(yr)
+            return x + k, x + k, True
+        a, b = piece.invert_enclosure(yr, width)
+        return a + k, b + k, False
+
+    def invert_float(self, y: float) -> float:
+        k = math.floor((y - self._value_lo_f) / self.degree)
+        yr = y - self.degree * k
+        i = bisect.bisect_right(self._value_breaks_f, yr) - 1
+        i = max(0, min(i, len(self.pieces) - 1))
+        return self.pieces[i].invert_float(yr) + k
+
+    def invert_array(self, ys: np.ndarray) -> np.ndarray:
+        """invert_float at each element: the affine formula on affine pieces,
+        invert_float's 60-step bisection, run on arrays, on cubic ones."""
+        k = np.floor((ys - self._value_lo_f) / self.degree)
+        yr = ys - self.degree * k
+        i = np.searchsorted(self._value_lo_arr, yr, side="right") - 1
+        i = np.clip(i, 0, len(self.pieces) - 1)
+        c0, c1 = self._cubic[0, i], self._cubic[1, i]
+        x = self._lo_arr[i] + (yr - c0) / c1
+        cubic = np.flatnonzero(self._hermite[i])
+        if cubic.size:
+            i, yr = i[cubic], yr[cubic]
+            a, b = self._lo_arr[i], self._hi_arr[i]
+            for _ in range(60):
+                m = 0.5 * (a + b)
+                below = self._cubic_at(i, m) <= yr
+                a, b = np.where(below, m, a), np.where(below, b, m)
+            x[cubic] = 0.5 * (a + b)
+        return x + k
+
+    def to_spec(self):
+        return {"kind": "fundamental", "degree": self.degree, "label": self.label,
+                "pieces": [p.piece_spec() for p in self.pieces]}
+
+    def __repr__(self):
+        return f"FundamentalDomainMap(degree={self.degree}, label={self.label!r})"
+
+
+class ThetaMap(FundamentalDomainMap):
+    """The degree-j covering lift: (a/2)x near 0, ramp j + (a/2)(x-1) past a."""
+
+    def __init__(self, j: int, a: Rat = Fraction(1, 10)):
+        a = rat(a)
+        if not (0 < a < Fraction(1, 2)):
+            raise PreconditionError(f"need 0 < a < 1/2, got {a}")
+        if j < 1:
+            raise PreconditionError(f"degree must be >= 1, got {j}")
+        half = a / 2
+        slope = a / 2
+        # linear through 0 on [-a/2, a/2], Hermite join on [a/2, a],
+        # ramp on [a, 1 - a/2] (the ramp formula continues to 1 + a/2; one
+        # period suffices, the extension rule supplies the rest).
+        p1 = AffinePiece(-half, half, -half * slope, slope)
+        join_lo_val = slope * half
+        join_hi_val = j + slope * (a - 1)
+        p2 = HermitePiece(half, a, join_lo_val, join_hi_val, slope, slope)
+        p3 = AffinePiece(a, 1 - half, join_hi_val, slope)
+        super().__init__([p1, p2, p3], degree=j, label=f"theta_{j}")
+        self.j = j
+        self.a = a
+
+    def to_spec(self):
+        return {"kind": "theta", "j": self.j, "a": rat_str(self.a)}
+
+    def __repr__(self):
+        return f"ThetaMap(j={self.j}, a={self.a})"

@@ -29,20 +29,17 @@ from .maps import MapTree, invert
 def _relation_residual(g: MapTree, h: MapTree, n: int, window: float,
                        samples: int = 257) -> float:
     """sup |g(h(x)) - h^n(g(x))| over an even sample of [-window, window]."""
-    worst = 0.0
-    for i in range(samples):
-        x = -window + 2 * window * i / (samples - 1)
-        lhs = g.eval_float(h.eval_float(x))
-        rhs = g.eval_float(x)
-        for _ in range(n):
-            rhs = h.eval_float(rhs)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    xs = -window + 2 * window * np.arange(samples) / (samples - 1)
+    lhs = g.eval_array(h.eval_array(xs))
+    rhs = g.eval_array(xs)
+    for _ in range(n):
+        rhs = h.eval_array(rhs)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def _min_slope(g: MapTree, window: float, samples: int = 2001) -> float:
     xs = np.linspace(-window, window, samples)
-    ys = np.array([g.eval_float(float(x)) for x in xs])
+    ys = g.eval_array(xs)
     return float(np.min(np.diff(ys) / np.diff(xs)))
 
 
@@ -117,40 +114,24 @@ class ConjugacyResult:
                 "detect_report": self.detect_report}
 
 
-class _Extension:
-    """Decompose query points as h^k(s) with s inside the window, so that
-    phi-values extend by phi(query) = phi(s) + k."""
-
-    def __init__(self, h: MapTree, window: float):
-        self.h = h
-        self.h_inv = invert(h)
-        self.window = window
-
-    def decompose(self, t: float) -> tuple[float, int]:
-        k = 0
-        guard = 0
-        while t > self.window:
-            t = self.h_inv.eval_float(t)
-            k += 1
-            guard += 1
-            if guard > 10000:
+def _decompose(ts: np.ndarray, h: MapTree, window: float) -> tuple[np.ndarray, np.ndarray]:
+    """(s, k) with ts = h^k(s) and s inside the window, so that phi-values
+    extend by phi(t) = phi(s) + k.  h^-1 is applied to the points above the
+    window, then h to the points below it, each time only to the points still
+    outside; no point may take more than 10000 steps in all."""
+    ss = ts.copy()
+    ks = np.zeros(len(ts), dtype=np.int64)
+    steps = np.zeros(len(ts), dtype=np.int64)
+    for f, dk, outside in ((invert(h), 1, lambda t: t > window), (h, -1, lambda t: t < -window)):
+        todo = np.flatnonzero(outside(ss))
+        while todo.size:
+            ss[todo] = f.eval_array(ss[todo])
+            ks[todo] += dk
+            steps[todo] += 1
+            if steps[todo].max() > 10000:
                 raise PreconditionError("h does not translate points back into the window")
-        while t < -self.window:
-            t = self.h.eval_float(t)
-            k -= 1
-            guard += 1
-            if guard > 10000:
-                raise PreconditionError("h does not translate points back into the window")
-        return t, k
-
-    def decompose_array(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ss = np.empty_like(ts)
-        ks = np.empty(len(ts), dtype=np.int64)
-        for i, t in enumerate(ts):
-            s, k = self.decompose(float(t))
-            ss[i] = s
-            ks[i] = k
-        return ss, ks
+            todo = todo[outside(ss[todo])]
+    return ss, ks
 
 
 def solve_conjugacy(g: MapTree, h: MapTree, n: int, grid_step: float = 1e-3,
@@ -179,19 +160,15 @@ def solve_conjugacy(g: MapTree, h: MapTree, n: int, grid_step: float = 1e-3,
 
     x_star = _expanding_fixed_point(g, window)
     h_hat_tree = _shift_conjugate(h, x_star)
-    ext = _Extension(h_hat_tree, window)
-
-    def g_hat(x):
-        return g.eval_float(x + x_star) - x_star
 
     npts = int(round(2 * window / grid_step)) + 1
     xs = np.linspace(-window, window, npts)
-    g_of_xs = np.array([g_hat(float(x)) for x in xs])
-    s_arr, k_arr = ext.decompose_array(g_of_xs)
+    g_of_xs = g.eval_array(xs + x_star) - x_star
+    s_arr, k_arr = _decompose(g_of_xs, h_hat_tree, window)
 
     # for the h-residual: phi(h(x_i)) needs its own decomposition
-    h_of_xs = np.array([h_hat_tree.eval_float(float(x)) for x in xs])
-    hs_arr, hk_arr = ext.decompose_array(h_of_xs)
+    h_of_xs = h_hat_tree.eval_array(xs)
+    hs_arr, hk_arr = _decompose(h_of_xs, h_hat_tree, window)
 
     phi = xs.copy()
     deviations = []
@@ -277,7 +254,7 @@ def detect_nonstandard(g: MapTree, h: MapTree, n: int, window: float = 5.0,
         raise PreconditionError(
             f"relation residual {residual:.3g} exceeds {relation_tol:.3g}")
     xs = np.linspace(-window, window, samples)
-    ds = np.array([g.eval_float(float(x)) - float(x) for x in xs])
+    ds = g.eval_array(xs) - xs
     fixed_points = []
     for i in range(len(xs) - 1):
         if ds[i] == 0.0:

@@ -1,10 +1,12 @@
 """Byte-identity gate for the exact rational certificates.
 
 The digests below pin the canonical JSON (sorted keys) of a fixed set of
-rational certify_word certificates and sweep summaries.  A change to the
-map or certification layers that is meant to leave the exact arithmetic
-alone must leave both digests unchanged; a deliberate change of the
-certificate format or of the rational results must update them and say so.
+rational certify_word certificates and sweep summaries, and of the
+256-harmonic Fourier-smoothed lifts of Theta_2 and Theta_3 that the analytic
+action is built from.  A change to the map or certification layers that is
+meant to leave the exact arithmetic alone must leave the digests unchanged; a
+deliberate change of the certificate format or of the rational results must
+update them and say so.
 """
 
 import hashlib
@@ -14,12 +16,17 @@ from fractions import Fraction as F
 import pytest
 
 from lineactions.action import build_action, certify_word, sweep_certify
+from lineactions.maps import build_theta, fourier_smooth
 from lineactions.words import enumerate_reduced
 
 PAIRS = [(1, 2), (2, 3), (2, 5), (3, 4)]
 
 CERTIFICATES_SHA256 = "aee7203ce83f12d8c9f583ca761f3264b554133239ddd0e0b29f60dd54523d38"
 SWEEPS_SHA256 = "752f7fdf385a43b19f179bce605d2d642adc7dea15858c22544756cfb3c4b9f2"
+SMOOTHED_SHA256 = {
+    2: "f323c9902866c51edffad09f19367d2cf2a4f1ac2e4d2d493d4dc9915f4a242f",
+    3: "e5f0940c77fe058c0e4bed7f2d2d241ba1c859b820b16f3d5bda7d9fc1a09e28",
+}
 
 
 @pytest.fixture(scope="module")
@@ -42,3 +49,9 @@ def test_rational_certificates_are_byte_identical(actions):
 def test_rational_sweeps_are_byte_identical(actions):
     records = [sweep_certify(actions[pair], 2, 2, F(7, 10)).to_json() for pair in PAIRS]
     assert _digest(records) == SWEEPS_SHA256
+
+
+@pytest.mark.parametrize("j", sorted(SMOOTHED_SHA256))
+def test_smoothed_lifts_are_byte_identical(j):
+    # the samples of the rational Theta_j fix the coefficients bit for bit
+    assert _digest(fourier_smooth(build_theta(j), j, 256).to_spec()) == SMOOTHED_SHA256[j]

@@ -1,7 +1,9 @@
+import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,31 +153,101 @@ def test_enclosure_arithmetic_follows_endpoints(kind, x, xf):
 PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510")
 
 
-def _sine_lift_value(amplitude: float, x: F) -> Decimal:
-    """x + amplitude*sin(2 pi x) to about 40 digits, by the Taylor series."""
+def _trig_lift_value(lift: TrigPolyLift, x: F) -> Decimal:
+    """lift(x) to about 40 digits.  x is reduced mod 1 exactly, cos and sin of
+    2 pi r come from their Taylor series, and those of the higher harmonics
+    from the angle-addition formulas."""
     with localcontext() as ctx:
         ctx.prec = 60
-        xd = Decimal(x.numerator) / Decimal(x.denominator)
-        t = 2 * PI_50 * xd
-        term = total = t
-        k = 1
-        while abs(term) > Decimal(10) ** -50:
-            term = -term * t * t / ((2 * k) * (2 * k + 1))
-            total += term
-            k += 1
-        return xd + Decimal(amplitude) * total
+        r = x - math.floor(x)
+        t = 2 * PI_50 * Decimal(r.numerator) / Decimal(r.denominator)
+        cos1 = sin1 = Decimal(0)
+        term, i = Decimal(1), 0
+        while abs(term) > Decimal(10) ** -55:
+            if i % 2 == 0:
+                cos1 += term if i % 4 == 0 else -term
+            else:
+                sin1 += term if i % 4 == 1 else -term
+            i += 1
+            term = term * t / i
+        total = Decimal(lift.a0)
+        cos_k, sin_k = Decimal(1), Decimal(0)
+        for a, b in zip(lift.cos_coeffs, lift.sin_coeffs):
+            cos_k, sin_k = cos_k * cos1 - sin_k * sin1, sin_k * cos1 + cos_k * sin1
+            total += Decimal(a) * cos_k + Decimal(b) * sin_k
+        return lift.degree * Decimal(x.numerator) / Decimal(x.denominator) + total
 
 
 @given(x=rationals, xf=floats)
 @settings(max_examples=40, deadline=None)
 def test_sine_lift_enclosure_contains_true_value(x, xf):
     s = sine_lift("1/100")
-    amplitude = s.sin_coeffs[0]
     for point, exact_x in ((x, x), (xf, F(xf))):
         enc = s.eval_enclosure(Enclosure.point(point))
         assert isinstance(enc.lo, float) and not enc.exact
-        value = _sine_lift_value(amplitude, exact_x)
+        value = _trig_lift_value(s, exact_x)
         assert Decimal(enc.lo) <= value <= Decimal(enc.hi)
+
+
+@pytest.fixture(scope="module")
+def trig_lifts():
+    return {"sine": sine_lift("1/100"), "fejer theta_3": fourier_smooth(TH3, 3, 256)}
+
+
+@pytest.mark.parametrize("x", [98765.4321, -100000.3, 3000000.123, -2999999.77])
+@pytest.mark.parametrize("name", ["sine", "fejer theta_3"])
+def test_trig_enclosure_contains_true_value_at_large_x(trig_lifts, name, x):
+    # the rounding of degree*x and of the phases 2 pi k x grows with |x|
+    lift = trig_lifts[name]
+    enc = lift.eval_enclosure(Enclosure.point(x))
+    value = _trig_lift_value(lift, F(x))
+    assert Decimal(enc.lo) <= value <= Decimal(enc.hi)
+    # the floor of the pad, and so every enclosure, is unchanged near 0
+    assert lift.eval_enclosure(Enclosure.point(0.3)).hi == lift.eval_float(0.3) + 1e-12
+
+
+KNOTS = from_knots([(F(-1, 3), F(-1, 5)), (F(1, 4), F(1, 2)), (F(1, 2), F(3, 5))], 1)
+SMALL_TRIG = TrigPolyLift(1, 0.01, (0.01, -0.005), (0.02, 0.003))
+BIG_TRIG = fourier_smooth(build_theta(2), 2, 16)
+
+# tree kind -> (tree, True when every leaf is rational)
+ARRAY_TREES = {
+    "affine": (AFF, True),
+    "theta": (TH3, True),
+    "knots": (KNOTS, True),
+    "trig <= 8 harmonics": (SMALL_TRIG, False),
+    "trig > 8 harmonics": (BIG_TRIG, False),
+    "inverse affine": (invert(AFF), True),
+    "inverse theta": (invert(TH3), True),
+    "inverse knots": (invert(KNOTS), True),
+    "inverse trig <= 8": (invert(SMALL_TRIG), False),
+    "inverse trig > 8": (invert(BIG_TRIG), False),
+    "compose": (compose(TH3, invert(TH2), AFF), True),
+    "compose trig": (compose(invert(SMALL_TRIG), AffineMap(2, 0), SMALL_TRIG), False),
+    "translate conjugate": (TranslateConjugate(HALF, TH2), True),
+    "translate conjugate trig": (TranslateConjugate(F(-1, 3), invert(BIG_TRIG)), False),
+}
+
+# piece joins of the fundamental-domain leaves in x and in value, moved by
+# integers (so x_lo + k is among them), and large |x|
+_JOINS = sorted({float(v) for f in (TH2, TH3, KNOTS)
+                 for v in f._breaks_exact + f._value_breaks})
+SPECIAL_XS = [b + k for b in _JOINS for k in range(-7, 8)] + [
+    -1e6, -98765.4321, -0.0, 98765.4321, 1e6 - 0.5]
+
+
+@pytest.mark.parametrize("kind", ARRAY_TREES)
+@given(xs=st.lists(st.floats(min_value=-1e6, max_value=1e6), max_size=40))
+@settings(max_examples=25, deadline=None)
+def test_eval_array_agrees_with_eval_float(kind, xs):
+    tree, rational = ARRAY_TREES[kind]
+    xs = np.array(SPECIAL_XS + xs)
+    got = tree.eval_array(xs)
+    want = np.array([tree.eval_float(float(x)) for x in xs])
+    if rational:
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(xs)))
 
 
 def test_interval_soundness_through_inverse():

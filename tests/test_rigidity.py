@@ -62,6 +62,12 @@ def test_not_in_perturbation_regime():
         solve_conjugacy(build_theta(2), AffineMap(1, 1), 2)
 
 
+def test_escape_guard_when_h_does_not_move_points():
+    # h = identity never brings g's image of the grid back into the window
+    with pytest.raises(PreconditionError, match="back into the window"):
+        solve_conjugacy(AffineMap(2, 0), AffineMap(1, 0), 2, window=1.0, grid_step=0.1)
+
+
 def test_divergence_verdict_when_starved_of_iterations():
     g, h, _ = conjugated_standard()
     res = solve_conjugacy(g, h, 2, window=5.0, grid_step=1e-2, tol=1e-12,
