@@ -87,8 +87,7 @@ def pipeline_faithfulness(act: BSAction, max_syllables: int, exponent_bound: int
 
 
 def pipeline_bs12_oracle(max_letters: int, random_pairs: int = 20000,
-                         pair_radius: int = 4, seed: int = 0,
-                         _reduce=None) -> dict:
+                         pair_radius: int = 4, seed: int = 0) -> dict:
     """Exhaustive agreement check between the rewriting word problem and the
     faithful affine model of BS(1, 2).
 
@@ -116,13 +115,13 @@ def pipeline_bs12_oracle(max_letters: int, random_pairs: int = 20000,
     classes: dict[tuple, BSWord] = {}
     for w in order:
         aff = bs1n_affine(2, w)
-        triv = is_trivial(w, _reduce=_reduce)
+        triv = is_trivial(w)
         if triv != (aff == (1, 0)):
             disagreements.append({"part": "triviality", "word": str(w),
                                   "affine": [rat_str(aff[0]), rat_str(aff[1])],
                                   "is_trivial": triv})
         rep = classes.setdefault(aff, w)
-        if rep is not w and not equal(w, rep, _reduce=_reduce):
+        if rep is not w and not equal(w, rep):
             disagreements.append({"part": "class-representative", "word": str(w),
                                   "representative": str(rep)})
 
@@ -130,7 +129,7 @@ def pipeline_bs12_oracle(max_letters: int, random_pairs: int = 20000,
     for w1, w2 in itertools.combinations(short_words, 2):
         pair_checks += 1
         same = bs1n_affine(2, w1) == bs1n_affine(2, w2)
-        if equal(w1, w2, _reduce=_reduce) != same:
+        if equal(w1, w2) != same:
             disagreements.append({"part": "exhaustive-pairs",
                                   "w1": str(w1), "w2": str(w2)})
 
@@ -138,7 +137,7 @@ def pipeline_bs12_oracle(max_letters: int, random_pairs: int = 20000,
     for _ in range(random_pairs):
         w1, w2 = rng.choice(order), rng.choice(order)
         same = bs1n_affine(2, w1) == bs1n_affine(2, w2)
-        if equal(w1, w2, _reduce=_reduce) != same:
+        if equal(w1, w2) != same:
             disagreements.append({"part": "random-pairs",
                                   "w1": str(w1), "w2": str(w2)})
 

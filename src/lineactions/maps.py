@@ -321,9 +321,21 @@ class Inverse(MapTree):
             lo, _, ex1 = inner.invert_exact(lo, inverse_width)
             _, hi, ex2 = inner.invert_exact(hi, inverse_width)
             return _image(enc, lo, hi, enc.exact and ex1 and ex2 and lo == hi)
-        pad = 4 * TrigPolyLift._PAD
-        return Enclosure(inner.invert_float(_float_down(enc.lo)) - pad,
-                         inner.invert_float(_float_up(enc.hi)) + pad, False)
+        return Enclosure(self._proved_end(_float_down(enc.lo), -1.0),
+                         self._proved_end(_float_up(enc.hi), 1.0), False)
+
+    def _proved_end(self, y: float, side: float) -> float:
+        """A float x below (side -1) or above (side +1) the inverse of the trig
+        lift at y: the Newton inverse moved out by a pad that doubles until
+        the leaf's forward enclosure shows F(x) <= y (or F(x) >= y)."""
+        inner, pad = self.inner, 4 * TrigPolyLift._PAD
+        x = inner.invert_float(y)
+        while True:
+            end = x + side * pad
+            f = inner.eval_enclosure(Enclosure.point(end))
+            if (f.hi <= y) if side < 0 else (f.lo >= y):
+                return end
+            pad *= 2
 
     def to_spec(self):
         return {"kind": "inverse", "of": self.inner.to_spec()}
@@ -479,7 +491,7 @@ def eval_float_traced(f: MapTree, x: float) -> tuple[float, bool]:
 
 
 def fourier_smooth(f: MapTree, degree_hint: int, harmonics: int,
-                   samples: int = 0, kernel: str = "fejer") -> TrigPolyLift:
+                   kernel: str = "fejer") -> TrigPolyLift:
     """Approximate the periodic part f(x) - degree*x by a trig polynomial.
 
     kernel="fejer" (default) applies Fejer weights (1 - k/(K+1)): convolution
@@ -492,12 +504,9 @@ def fourier_smooth(f: MapTree, degree_hint: int, harmonics: int,
         raise PreconditionError("need harmonics >= 1")
     if kernel not in ("fejer", "truncate"):
         raise PreconditionError(f"unknown smoothing kernel {kernel!r}")
-    if samples <= 0:
-        samples = 1
-        while samples < max(8 * harmonics, 4096):
-            samples *= 2
-    if samples < 4 * harmonics:
-        raise PreconditionError("need samples >= 4*harmonics")
+    samples = 1
+    while samples < max(8 * harmonics, 4096):
+        samples *= 2
     xs = np.arange(samples) / samples
     per = f.eval_array(xs) - degree_hint * xs
     spec = np.fft.rfft(per) / samples

@@ -14,26 +14,26 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .errors import PreconditionError
 
 Syllable = tuple[str, int]  # ('t', +-1) or ('a', nonzero int)
 
 
+def _push_a(out: list[Syllable], exp: int) -> None:
+    """Append a^exp to a merged syllable list, merging it into a trailing a-power."""
+    if out and out[-1][0] == 'a':
+        exp += out.pop()[1]
+    if exp != 0:
+        out.append(('a', exp))
+
+
 def _merge(tokens: Sequence[Syllable]) -> tuple[Syllable, ...]:
     out: list[Syllable] = []
     for kind, exp in tokens:
         if kind == 'a':
-            if exp == 0:
-                continue
-            if out and out[-1][0] == 'a':
-                merged = out[-1][1] + exp
-                out.pop()
-                if merged != 0:
-                    out.append(('a', merged))
-                continue
-            out.append(('a', exp))
+            _push_a(out, exp)
         elif kind == 't':
             if exp not in (1, -1):
                 raise PreconditionError(f"t-syllables carry exponent +-1, got {exp}")
@@ -41,6 +41,15 @@ def _merge(tokens: Sequence[Syllable]) -> tuple[Syllable, ...]:
         else:
             raise PreconditionError(f"unknown letter {kind!r}")
     return tuple(out)
+
+
+def _pinch_between(left_exp: int, r: int, right_exp: int, m: int, n: int) -> bool:
+    """Whether t^left_exp a^r t^right_exp is a pinch of BS(m, n)."""
+    if left_exp == 1 and right_exp == -1:
+        return r % m == 0
+    if left_exp == -1 and right_exp == 1:
+        return r % n == 0
+    return False
 
 
 @dataclass(frozen=True)
@@ -104,26 +113,13 @@ class BSWord:
     def max_a_exponent(self) -> int:
         return max((abs(e) for k, e in self.syllables if k == 'a'), default=0)
 
-    def first_pinch(self) -> Optional[int]:
-        """Index of the leftmost pinch ('t' position), or None if pinch-free."""
-        syl = self.syllables
-        for i, (kind, exp) in enumerate(syl):
-            if kind != 't':
-                continue
-            j = i + 1
-            r = 0
-            if j < len(syl) and syl[j][0] == 'a':
-                r = syl[j][1]
-                j += 1
-            if j < len(syl) and syl[j] == ('t', -exp):
-                if exp == 1 and r % self.m == 0:
-                    return i
-                if exp == -1 and r % self.n == 0:
-                    return i
-        return None
-
     def is_pinch_free(self) -> bool:
-        return self.first_pinch() is None
+        # merged syllables put at most one a-power between consecutive t's
+        syl = self.syllables
+        ts = [i for i, (kind, _) in enumerate(syl) if kind == 't']
+        return not any(_pinch_between(syl[i][1], syl[i + 1][1] if j > i + 1 else 0,
+                                      syl[j][1], self.m, self.n)
+                       for i, j in zip(ts, ts[1:]))
 
     def __str__(self):
         if not self.syllables:
@@ -142,7 +138,6 @@ class NormalForm:
     """A Britton-reduced (pinch-free) word."""
 
     word: BSWord
-    reduced: bool = True
 
     def __post_init__(self):
         if not self.word.is_pinch_free():
@@ -152,52 +147,50 @@ class NormalForm:
         return str(self.word)
 
 
+_RULES = {1: "t a^{mk} t^-1 -> a^{nk}", -1: "t^-1 a^{nk} t -> a^{mk}"}
+
+
 def reduce(w: BSWord, trace: bool = False):
     """Britton-reduce w; returns NormalForm, or (NormalForm, steps) with trace.
 
-    Each step removes one pinch (two t-syllables), so reduction terminates;
-    the result represents the same group element.
+    One left-to-right pass over a stack that holds the reduced, merged prefix.
+    The prefix is pinch-free, so a pinch closed by an arriving t-syllable is
+    the leftmost pinch of the current word: the steps are those of rewriting
+    leftmost first, and ``position`` is the index of the pinch's left t.  Each
+    step removes two t-syllables; the result represents the same element.
     """
+    m, n, syl = w.m, w.n, w.syllables
+    stack: list[Syllable] = []
     steps = []
-    current = w
-    while True:
-        idx = current.first_pinch()
-        if idx is None:
-            break
-        syl = list(current.syllables)
-        kind, exp = syl[idx]
-        j = idx + 1
-        r = 0
-        if j < len(syl) and syl[j][0] == 'a':
-            r = syl[j][1]
-            j += 1
-        if exp == 1:
-            rule = "t a^{mk} t^-1 -> a^{nk}"
-            new_exp = current.n * (r // current.m)
-        else:
-            rule = "t^-1 a^{nk} t -> a^{mk}"
-            new_exp = current.m * (r // current.n)
-        replacement = [('a', new_exp)] if new_exp != 0 else []
-        new_syl = syl[:idx] + replacement + syl[j + 1:]
-        nxt = BSWord(current.m, current.n, tuple(new_syl))
+    for j, (kind, exp) in enumerate(syl):
+        if kind == 'a':
+            _push_a(stack, exp)
+            continue
+        r = stack[-1][1] if stack and stack[-1][0] == 'a' else 0
+        i = len(stack) - (2 if r else 1)   # the t below the arriving one
+        if i < 0 or not _pinch_between(stack[i][1], r, exp, m, n):
+            stack.append((kind, exp))
+            continue
+        left = stack[i][1]
         if trace:
-            steps.append({"position": idx, "rule": rule,
-                          "before": str(current), "after": str(nxt)})
-        current = nxt
-    nf = NormalForm(current)
+            before = str(BSWord(m, n, tuple(stack) + syl[j:]))
+        del stack[i:]
+        _push_a(stack, n * (r // m) if left == 1 else m * (r // n))
+        if trace:
+            steps.append({"position": i, "rule": _RULES[left], "before": before,
+                          "after": str(BSWord(m, n, tuple(stack) + syl[j + 1:]))})
+    nf = NormalForm(BSWord(m, n, tuple(stack)))
     return (nf, steps) if trace else nf
 
 
-def is_trivial(w: BSWord, _reduce=None) -> bool:
+def is_trivial(w: BSWord) -> bool:
     """Word-problem decision: trivial iff the Britton reduction is empty."""
-    nf = (_reduce or reduce)(w)
-    word = nf.word if isinstance(nf, NormalForm) else nf
-    return len(word.syllables) == 0
+    return not reduce(w).word.syllables
 
 
-def equal(w1: BSWord, w2: BSWord, _reduce=None) -> bool:
+def equal(w1: BSWord, w2: BSWord) -> bool:
     w1._match(w2)
-    return is_trivial(w1 * w2.inverse(), _reduce=_reduce)
+    return is_trivial(w1 * w2.inverse())
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +248,6 @@ def _token_rank(tok: Syllable) -> int:
     if kind == 't':
         return 0 if exp == 1 else 1
     return 2 + 2 * (abs(exp) - 1) + (0 if exp > 0 else 1)
-
-
-def _pinch_between(left_exp: int, r: int, right_exp: int, m: int, n: int) -> bool:
-    if left_exp == 1 and right_exp == -1:
-        return r % m == 0
-    if left_exp == -1 and right_exp == 1:
-        return r % n == 0
-    return False
 
 
 def enumerate_reduced(m: int, n: int, max_syllables: int,

@@ -203,9 +203,11 @@ def test_bs12_oracle_vacuous(capsys):
     assert code == 0 and out["passed"] is True and out["distinct_words"] == 1
 
 
-def test_bs12_oracle_mutation_emits_witness():
+def test_bs12_oracle_mutation_emits_witness(monkeypatch):
     """A rewriter with the divisibility test flipped must be caught."""
-    from lineactions.words import BSWord, NormalForm
+    import types
+
+    import lineactions.words
 
     def broken_reduce(w):
         # deliberately wrong: treats NON-multiples of m as pinches
@@ -228,9 +230,10 @@ def test_bs12_oracle_mutation_emits_witness():
                         current = BSWord(current.m, current.n, tuple(new))
                         changed = True
                         break
-        return current
+        return types.SimpleNamespace(word=current)
 
-    report = cli.pipeline_bs12_oracle(3, random_pairs=200, _reduce=broken_reduce)
+    monkeypatch.setattr(lineactions.words, "reduce", broken_reduce)
+    report = cli.pipeline_bs12_oracle(3, random_pairs=200)
     assert not report["passed"]
     assert report["disagreement_count"] > 0
     assert report["disagreements"][0]["word"]

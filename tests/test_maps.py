@@ -194,7 +194,10 @@ def trig_lifts():
     return {"sine": sine_lift("1/100"), "fejer theta_3": fourier_smooth(TH3, 3, 256)}
 
 
-@pytest.mark.parametrize("x", [98765.4321, -100000.3, 3000000.123, -2999999.77])
+LARGE = [98765.4321, -100000.3, 3000000.123, -2999999.77]
+
+
+@pytest.mark.parametrize("x", LARGE)
 @pytest.mark.parametrize("name", ["sine", "fejer theta_3"])
 def test_trig_enclosure_contains_true_value_at_large_x(trig_lifts, name, x):
     # the rounding of degree*x and of the phases 2 pi k x grows with |x|
@@ -204,6 +207,17 @@ def test_trig_enclosure_contains_true_value_at_large_x(trig_lifts, name, x):
     assert Decimal(enc.lo) <= value <= Decimal(enc.hi)
     # the floor of the pad, and so every enclosure, is unchanged near 0
     assert lift.eval_enclosure(Enclosure.point(0.3)).hi == lift.eval_float(0.3) + 1e-12
+
+
+@pytest.mark.parametrize("y", LARGE)
+@pytest.mark.parametrize("name", ["sine", "fejer theta_3"])
+def test_trig_inverse_enclosure_contains_true_inverse_at_large_y(trig_lifts, name, y):
+    # Newton stops within 1e-14*|y|, so a fixed pad cannot cover large |y|;
+    # F increasing and F(lo) <= y <= F(hi) put the true inverse in [lo, hi]
+    lift = trig_lifts[name]
+    enc = invert(lift).eval_enclosure(Enclosure.point(y))
+    assert _trig_lift_value(lift, F(enc.lo)) <= Decimal(y) <= _trig_lift_value(lift, F(enc.hi))
+    assert enc.hi - enc.lo < 1e-14 * abs(y)
 
 
 KNOTS = from_knots([(F(-1, 3), F(-1, 5)), (F(1, 4), F(1, 2)), (F(1, 2), F(3, 5))], 1)

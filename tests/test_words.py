@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -170,3 +171,20 @@ def test_word_parsing_grammar():
     with pytest.raises(PreconditionError):
         BSWord.parse(2, 3, "b^2")
     assert str(BSWord.parse(2, 3, "a^2 a^-2")) == "1"
+
+
+def test_long_relator_product_reduces_in_linear_time():
+    # ~20,000 letters of conjugated BS(1,2) relators g (t a^k t^-1 a^-2k) g^-1;
+    # rescanning from the left after every pinch took seconds here
+    rng = random.Random(5)
+    toks = []
+    while sum(abs(e) for _, e in toks) < 20000:
+        k = rng.randint(1, 5)
+        g = [rng.choice([('t', 1), ('t', -1), ('a', 1), ('a', -1)])
+             for _ in range(rng.randint(2, 10))]
+        toks += g + [('t', 1), ('a', k), ('t', -1), ('a', -2 * k)]
+        toks += [(kind, -e) for kind, e in reversed(g)]
+    w = BSWord(1, 2, tuple(toks))
+    t0 = time.perf_counter()
+    assert is_trivial(w)
+    assert time.perf_counter() - t0 < 1.0
