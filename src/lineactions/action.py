@@ -24,8 +24,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConstructionError, PreconditionError
-from .maps import (AffineMap, Enclosure, MapTree, TranslateConjugate,
-                   build_theta, compose, fourier_smooth, from_spec, invert, rat,
+from .maps import (AffineMap, Enclosure, MapTree, TranslateConjugate, TrigPolyLift,
+                   build_theta, compose, fourier_smooth, from_spec, invert, leaves, rat,
                    rat_str)
 from .words import BSWord, NormalForm, _pinch_between, count_pinch_free
 
@@ -130,17 +130,21 @@ class BSAction:
     g_inv: MapTree
     h: MapTree
     table: Optional[PingPongTable] = None
-    smoothed: bool = False
 
     def __post_init__(self):
         self.g_m_inv = invert(self.g_m)
         self.g_n_inv = invert(self.g_n)
 
+    @property
+    def smoothed(self) -> bool:
+        """True when g_n or g_m has a trig-polynomial (Fourier-smoothed) leaf."""
+        return any(isinstance(leaf, TrigPolyLift)
+                   for lift in (self.g_n, self.g_m) for leaf in leaves(lift))
+
     @classmethod
-    def from_lifts(cls, m: int, n: int, a: Fraction, g_n: MapTree, g_m: MapTree,
-                   smoothed: bool = False) -> "BSAction":
+    def from_lifts(cls, m: int, n: int, a: Fraction, g_n: MapTree, g_m: MapTree) -> "BSAction":
         g = compose(g_n, invert(g_m))
-        return cls(m, n, a, g_n, g_m, g, invert(g), AffineMap(1, 1), smoothed=smoothed)
+        return cls(m, n, a, g_n, g_m, g, invert(g), AffineMap(1, 1))
 
     def relation_residual(self, samples: int = 1000, lo: float = 0.0,
                           hi: float = 3.0) -> float:
@@ -150,34 +154,30 @@ class BSAction:
         rhs = self.g.eval_array(xs) + self.n
         return float(np.max(np.abs(lhs - rhs)))
 
-    def relation_residual_exact(self, points,
-                                inverse_width: Fraction = Fraction(1, 2**20)) -> list:
-        """Per-point exact residual records; residual is 0 whenever the
-        evaluation path stays on affine pieces (exact enclosures).
+    def relation_residual_exact(self, points) -> list:
+        """Per-point residual records of g(x + m) = g(x) + n at rational x.
 
-        Paths through a cubic join are enclosed at the given width and only a
-        residual bound is reported for them; the sharp 1e-12 statement is
-        relation_residual's float sample, which covers every path.
+        g is enclosed at x, and at x + m when g(x) is exact, with inverse
+        width 1, so no cubic inverse bisects.  Where both enclosures are
+        exact (every inverse on the path lands on an affine piece) the record
+        holds the exact residual, which must be 0.  Elsewhere it holds
+        |g(x + m) - g(x) - n| by eval_float plus 1e-12: a float bound, not a
+        rigorous one; the sharp 1e-12 statement is relation_residual's float
+        sample, which covers every path.
         """
-        from .maps import eval_float_traced
         out = []
         for x in points:
             xq = rat(x)
-            _, p1 = eval_float_traced(self.g, float(xq) + self.m)
-            _, p2 = eval_float_traced(self.g, float(xq))
-            if p1 and p2:
-                lhs = self.g.eval_enclosure(Enclosure.point(xq + self.m), inverse_width)
-                rhs = self.g.eval_enclosure(Enclosure.point(xq), inverse_width)
-            else:
-                lhs = rhs = None
-            if lhs is not None and lhs.exact and rhs.exact:
+            rhs = self.g.eval_enclosure(Enclosure.point(xq), Fraction(1))
+            lhs = rhs.exact and self.g.eval_enclosure(Enclosure.point(xq + self.m), Fraction(1))
+            if lhs and lhs.exact:
                 out.append({"x": rat_str(xq), "exact_path": True,
                             "residual": rat_str(lhs.lo - rhs.lo - self.n)})
             else:
-                v1, _ = eval_float_traced(self.g, float(xq) + self.m)
-                v2, _ = eval_float_traced(self.g, float(xq))
+                xf = float(xq)
+                bound = abs(self.g.eval_float(xf + self.m) - self.g.eval_float(xf) - self.n)
                 out.append({"x": rat_str(xq), "exact_path": False,
-                            "residual_bound": repr(abs(v1 - v2 - self.n) + 1e-12)})
+                            "residual_bound": repr(bound + 1e-12)})
         return out
 
     def to_json(self):
@@ -193,40 +193,39 @@ class BSAction:
     def from_json(cls, data: dict) -> "BSAction":
         """Rebuild an action written by to_json; g and g^-1 are recomposed
         from the lifts.  A stored ping-pong table is not trusted: the
-        inclusions are verified again on the rebuilt maps and windows."""
+        inclusions are verified again on the rebuilt maps and windows, and a
+        stored smoothed flag must agree with the lifts."""
         m, n, a = int(data["m"]), int(data["n"]), rat(data["a"])
-        act = cls.from_lifts(m, n, a, from_spec(data["g_n"]), from_spec(data["g_m"]),
-                             smoothed=bool(data.get("smoothed", False)))
+        act = cls.from_lifts(m, n, a, from_spec(data["g_n"]), from_spec(data["g_m"]))
+        if data.get("smoothed", act.smoothed) != act.smoothed:
+            raise PreconditionError(
+                f"stored smoothed={data['smoothed']!r} disagrees with the lifts")
         if data.get("table"):
             verify_inclusions(act)
         return act
 
 
 def build_action(m: int, n: int, a=Fraction(1, 10),
-                 fourier_harmonics: Optional[int] = None,
-                 relation_tol: float = 1e-12, relation_samples: int = 1000) -> BSAction:
-    """Construct the action for 1 <= m < n and verify the relation on samples.
+                 fourier_harmonics: Optional[int] = None) -> BSAction:
+    """Construct the action for 1 <= m < n and verify the relation on 1000
+    samples to 1e-12.
 
     With fourier_harmonics set, both lifts are replaced by truncated
     trigonometric polynomials (smooth everywhere); the relation still holds
-    because it only uses covering-lift equivariance, and the inclusions must
-    be re-verified by the caller.
+    because it only uses covering-lift equivariance, up to 1e-9 in floats,
+    and the inclusions must be re-verified by the caller.
     """
     if not (1 <= m < n):
         raise PreconditionError(f"need 1 <= m < n, got ({m}, {n})")
     a = rat(a)
-    theta_n, theta_m = build_theta(n, a), build_theta(m, a)
-    g_n: MapTree = theta_n
-    g_m_core: MapTree = theta_m
-    smoothed = False
+    g_n: MapTree = build_theta(n, a)
+    g_m_core: MapTree = build_theta(m, a)
     if fourier_harmonics is not None:
-        g_n = fourier_smooth(theta_n, n, fourier_harmonics)
-        g_m_core = fourier_smooth(theta_m, m, fourier_harmonics)
-        smoothed = True
-        relation_tol = max(relation_tol, 1e-9)
-    act = BSAction.from_lifts(m, n, a, g_n, TranslateConjugate(Fraction(1, 2), g_m_core),
-                              smoothed=smoothed)
-    residual = act.relation_residual(relation_samples)
+        g_n = fourier_smooth(g_n, n, fourier_harmonics)
+        g_m_core = fourier_smooth(g_m_core, m, fourier_harmonics)
+    act = BSAction.from_lifts(m, n, a, g_n, TranslateConjugate(Fraction(1, 2), g_m_core))
+    residual = act.relation_residual()
+    relation_tol = 1e-9 if act.smoothed else 1e-12
     if residual > relation_tol:
         raise ConstructionError(
             f"relation residual {residual:.3g} exceeds {relation_tol:.3g}; "
@@ -618,10 +617,9 @@ def rotation_obstruction(m: int, n: int) -> dict:
     return {"admissible": values, "period_divisor": d}
 
 
-def find_g_fixed_point(g: MapTree, m: int = 1, search_bound: int = 60,
-                       width: float = 1e-9) -> dict:
+def find_g_fixed_point(g: MapTree, m: int = 1, search_bound: int = 60) -> dict:
     """Bracket a fixed point of g by scanning x = m*k for a sign change of
-    g(x) - x, then bisecting to the requested width.
+    g(x) - x, then bisecting to width 1e-9.
 
     Assumes the action is normalized so h(x) = x + 1 (fixed-point free).
     """
@@ -654,7 +652,7 @@ def find_g_fixed_point(g: MapTree, m: int = 1, search_bound: int = 60,
             hi = mid
         x_star = 0.5 * (lo + hi)
         residual = abs(g.eval_float(x_star) - x_star)
-        if hi - lo <= width and residual <= width:
+        if hi - lo <= 1e-9 and residual <= 1e-9:
             break
     return {"k_bracket": hit, "bracket": (lo, hi), "width": hi - lo,
             "fixed_point": x_star, "residual": residual}

@@ -349,11 +349,8 @@ def fixed_components(f: SampledIntervalMap, tol: float) -> list[tuple[float, flo
     return comps
 
 
-def _boundary_points(components, domain=(0.0, 1.0)):
-    pts = []
-    for lo, hi in components:
-        pts.extend([lo, hi] if lo != hi else [lo])
-    return sorted(set(pts))
+def _boundary_points(components):
+    return sorted({end for component in components for end in component})
 
 
 def audit_commuting_fixsets(f: SampledIntervalMap, g: SampledIntervalMap,

@@ -20,7 +20,8 @@ float evaluations and a rigorous enclosure evaluation:
 
   - Fraction (or int) endpoints: rational leaves evaluate exactly; inverting
     a cubic join piece yields a rational enclosure of prescribed width by
-    monotone bisection.
+    monotone bisection.  ``Enclosure.exact`` reads exactness off the result
+    (rational lo == hi): it holds when no cubic inverse was on the path.
   - float endpoints: rational leaves compute exactly from the endpoints and
     round the result outward to floats.
 
@@ -35,7 +36,6 @@ nodes, the constructors, Fourier smoothing and the JSON specs live here.
 
 from __future__ import annotations
 
-import bisect
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -179,7 +179,7 @@ class TrigPolyLift(MapTree):
     def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
         lo, hi = _float_down(enc.lo), _float_up(enc.hi)
         return Enclosure(self.eval_float(lo) - self._pad(lo),
-                         self.eval_float(hi) + self._pad(hi), False)
+                         self.eval_float(hi) + self._pad(hi))
 
     def _deriv(self, x: float) -> float:
         if self._spectral:
@@ -318,11 +318,10 @@ class Inverse(MapTree):
             if isinstance(enc.lo, float):
                 inverse_width = Fraction(1, 2**52)
             lo, hi = enc.rational_ends
-            lo, _, ex1 = inner.invert_exact(lo, inverse_width)
-            _, hi, ex2 = inner.invert_exact(hi, inverse_width)
-            return _image(enc, lo, hi, enc.exact and ex1 and ex2 and lo == hi)
+            return _image(enc, inner.invert_exact(lo, inverse_width)[0],
+                          inner.invert_exact(hi, inverse_width)[1])
         return Enclosure(self._proved_end(_float_down(enc.lo), -1.0),
-                         self._proved_end(_float_up(enc.hi), 1.0), False)
+                         self._proved_end(_float_up(enc.hi), 1.0))
 
     def _proved_end(self, y: float, side: float) -> float:
         """A float x below (side -1) or above (side +1) the inverse of the trig
@@ -400,6 +399,15 @@ def invert(f: MapTree) -> MapTree:
     return Inverse(f)
 
 
+def leaves(f: MapTree) -> list:
+    """The leaves of a map tree, left to right."""
+    if isinstance(f, Compose):
+        return [leaf for p in f.parts for leaf in leaves(p)]
+    if isinstance(f, (Inverse, TranslateConjugate)):
+        return leaves(f.inner)
+    return [f]
+
+
 def iterate(f: MapTree, n: int) -> MapTree:
     if n == 0:
         return identity()
@@ -428,12 +436,11 @@ def from_knots(knots: Sequence[tuple], degree: int, label: str = "") -> Fundamen
     return FundamentalDomainMap(pieces, degree, label)
 
 
-def from_grid(xs: Sequence[float], ys: Sequence[float], degree: int,
-              label: str = "grid", snap_tol: float = 1e-9) -> FundamentalDomainMap:
+def from_grid(xs: Sequence[float], ys: Sequence[float], degree: int) -> FundamentalDomainMap:
     """Sampled lift over one period, linearly interpolated (floats kept exactly).
 
     Float sampling rarely closes the period identically, so the final sample
-    is snapped onto (x0 + 1, y0 + degree) when it is within snap_tol.
+    is snapped onto (x0 + 1, y0 + degree) when it is within 1e-9.
     """
     if len(xs) != len(ys) or len(xs) < 2:
         raise RepresentationError("grid needs matching xs/ys with at least two samples")
@@ -441,49 +448,11 @@ def from_grid(xs: Sequence[float], ys: Sequence[float], degree: int,
     pts.sort()
     x0, y0 = pts[0]
     xe, ye = pts[-1]
-    if abs(float(xe - x0 - 1)) > snap_tol or abs(float(ye - y0 - degree)) > snap_tol:
+    if abs(float(xe - x0 - 1)) > 1e-9 or abs(float(ye - y0 - degree)) > 1e-9:
         raise RepresentationError(
-            "grid must cover one period: endpoints off by more than snap_tol")
+            "grid must cover one period: endpoints off by more than 1e-9")
     pts[-1] = (x0 + 1, y0 + degree)
-    return from_knots(pts, degree, label)
-
-
-# ---------------------------------------------------------------------------
-# float probe of exact paths
-
-
-def eval_float_traced(f: MapTree, x: float) -> tuple[float, bool]:
-    """Float value plus a flag telling whether the path stayed on affine
-    pieces (exactly evaluable from rational input).  The flag is a fast probe;
-    points at piece boundaries may be conservatively misclassified."""
-    if isinstance(f, AffineMap):
-        return f.eval_float(x), True
-    if isinstance(f, FundamentalDomainMap):
-        k = math.floor(x - f._x_lo_f)
-        xr = x - k
-        i = bisect.bisect_right(f._breaks, xr) - 1
-        i = max(0, min(i, len(f.pieces) - 1))
-        piece = f.pieces[i]
-        return piece.eval_float(xr) + f.degree * k, isinstance(piece, AffinePiece)
-    if isinstance(f, Inverse) and isinstance(f.inner, FundamentalDomainMap):
-        inner = f.inner
-        k = math.floor((x - inner._value_lo_f) / inner.degree)
-        yr = x - inner.degree * k
-        i = bisect.bisect_right(inner._value_breaks_f, yr) - 1
-        i = max(0, min(i, len(inner.pieces) - 1))
-        piece = inner.pieces[i]
-        return piece.invert_float(yr) + k, isinstance(piece, AffinePiece)
-    if isinstance(f, Compose):
-        exact = True
-        for part in reversed(f.parts):
-            x, flag = eval_float_traced(part, x)
-            exact = exact and flag
-        return x, exact
-    if isinstance(f, TranslateConjugate):
-        s = f._shift_f
-        v, flag = eval_float_traced(f.inner, x - s)
-        return v + s, flag
-    return f.eval_float(x), False
+    return from_knots(pts, degree, "grid")
 
 
 # ---------------------------------------------------------------------------

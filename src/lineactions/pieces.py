@@ -6,6 +6,11 @@ rational leaves: AffineMap and the one-period FundamentalDomainMap with its
 covering lifts ThetaMap.  lineactions.maps re-exports every public name here;
 import them from there.
 
+An enclosure is exact when its endpoints are one rational; nothing else
+records exactness.  The pieces are exact rationals only: each
+FundamentalDomainMap converts its pieces' coefficients once into one float
+table, which both its scalar and its array float evaluations read.
+
 The degree-j covering lift Theta_j is built here: slope a/2 through the
 origin, slope a/2 affine ramp reaching j near 1, and a monotone cubic
 Hermite join on [a/2, a], extended to the line by F(x + k) = F(x) + j k.
@@ -36,9 +41,7 @@ def rat(value) -> Fraction:
     """Parse a rational from int/Fraction/'p/q' string. Floats are converted exactly."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, float)):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())
@@ -49,30 +52,21 @@ def rat_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
-def decimal_down(q: Fraction, places: int = 30) -> str:
-    """Decimal string <= q, rounded toward minus infinity at `places` digits."""
-    scale = 10 ** places
-    n = math.floor(q * scale)
+def _decimal(n: int, places: int) -> str:
+    """n / 10**places as a decimal string, trailing zeros dropped."""
     sign = "-" if n < 0 else ""
     digits = str(abs(n)).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}".rstrip("0").rstrip(".") or "0"
+
+
+def decimal_down(q: Fraction, places: int = 30) -> str:
+    """Decimal string <= q, rounded toward minus infinity at `places` digits."""
+    return _decimal(math.floor(q * 10 ** places), places)
 
 
 def decimal_up(q: Fraction, places: int = 30) -> str:
     """Decimal string >= q, rounded toward plus infinity at `places` digits."""
-    scale = 10 ** places
-    n = math.ceil(q * scale)
-    sign = "-" if n < 0 else ""
-    digits = str(abs(n)).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}".rstrip("0").rstrip(".") or "0"
-
-
-def _next_up(x: float) -> float:
-    return math.nextafter(x, math.inf)
-
-
-def _next_down(x: float) -> float:
-    return math.nextafter(x, -math.inf)
+    return _decimal(math.ceil(q * 10 ** places), places)
 
 
 def _float_down(q) -> float:
@@ -80,14 +74,14 @@ def _float_down(q) -> float:
     if isinstance(q, float):
         return q
     f = float(q)
-    return f if Fraction(f) <= q else _next_down(f)
+    return f if Fraction(f) <= q else math.nextafter(f, -math.inf)
 
 
 def _float_up(q) -> float:
     if isinstance(q, float):
         return q
     f = float(q)
-    return f if Fraction(f) >= q else _next_up(f)
+    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +90,10 @@ def _float_up(q) -> float:
 
 @dataclass(frozen=True)
 class Enclosure:
-    """Closed interval [lo, hi] guaranteed to contain the true value.
-
-    ``exact`` is True when lo == hi and no approximation occurred along the
-    evaluation path.
-    """
+    """Closed interval [lo, hi] guaranteed to contain the true value."""
 
     lo: Num
     hi: Num
-    exact: bool = False
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -112,7 +101,12 @@ class Enclosure:
 
     @staticmethod
     def point(x: Num) -> "Enclosure":
-        return Enclosure(x, x, exact=not isinstance(x, float))
+        return Enclosure(x, x)
+
+    @property
+    def exact(self) -> bool:
+        """True for a rational point: the value is known with no error."""
+        return self.lo == self.hi and not isinstance(self.lo, float)
 
     @property
     def width(self):
@@ -131,7 +125,7 @@ class Enclosure:
 
     def shift(self, k) -> "Enclosure":
         lo, hi = self.rational_ends
-        return _image(self, lo + k, hi + k, self.exact)
+        return _image(self, lo + k, hi + k)
 
     def contains(self, x: Num) -> bool:
         return self.lo <= x <= self.hi
@@ -147,12 +141,12 @@ class Enclosure:
         return {"lo": repr(self.lo), "hi": repr(self.hi), "rounding": "outward-float"}
 
 
-def _image(enc: Enclosure, lo: Fraction, hi: Fraction, exact: bool) -> Enclosure:
+def _image(enc: Enclosure, lo: Fraction, hi: Fraction) -> Enclosure:
     """[lo, hi], computed exactly from enc's endpoints, in enc's arithmetic:
     exact Fractions for rational enc, rounded outward to floats for float enc."""
     if isinstance(enc.lo, float):
-        return Enclosure(_float_down(lo), _float_up(hi), False)
-    return Enclosure(lo, hi, exact)
+        return Enclosure(_float_down(lo), _float_up(hi))
+    return Enclosure(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +156,7 @@ def _image(enc: Enclosure, lo: Fraction, hi: Fraction, exact: bool) -> Enclosure
 class AffinePiece:
     """y = slope*(x - lo) + value_lo on [lo, hi], slope > 0, exact rationals."""
 
-    __slots__ = ("lo", "hi", "value_lo", "slope", "_f")
+    __slots__ = ("lo", "hi", "value_lo", "slope")
 
     def __init__(self, lo: Rat, hi: Rat, value_lo: Rat, slope: Rat):
         if not slope > 0:
@@ -171,28 +165,21 @@ class AffinePiece:
             raise RepresentationError("degenerate piece interval")
         self.lo, self.hi = lo, hi
         self.value_lo, self.slope = value_lo, slope
-        self._f = (float(lo), float(value_lo), float(slope))
 
     @property
     def value_hi(self) -> Rat:
         return self.value_lo + self.slope * (self.hi - self.lo)
 
+    @property
+    def coeffs(self) -> tuple:
+        """(c0, c1, c2, c3) of the piece as a cubic in u = x - lo."""
+        return (self.value_lo, self.slope, 0, 0)
+
     def eval(self, x: Rat) -> Rat:
         return self.value_lo + self.slope * (x - self.lo)
 
-    def eval_float(self, x: float) -> float:
-        lo, v, s = self._f
-        return v + s * (x - lo)
-
     def invert(self, y: Rat) -> Rat:
         return self.lo + (y - self.value_lo) / self.slope
-
-    def invert_float(self, y: float) -> float:
-        lo, v, s = self._f
-        return lo + (y - v) / s
-
-    def kind(self) -> str:
-        return "affine"
 
     def piece_spec(self) -> dict:
         return {"kind": "affine", "lo": rat_str(self.lo), "hi": rat_str(self.hi),
@@ -206,7 +193,7 @@ class HermitePiece:
     sufficient condition: both endpoint slopes in (0, 3*secant].
     """
 
-    __slots__ = ("lo", "hi", "value_lo", "value_hi", "slope_lo", "slope_hi", "coeffs", "_f")
+    __slots__ = ("lo", "hi", "value_lo", "value_hi", "slope_lo", "slope_hi", "coeffs")
 
     def __init__(self, lo: Rat, hi: Rat, value_lo: Rat, value_hi: Rat,
                  slope_lo: Rat, slope_hi: Rat):
@@ -226,16 +213,10 @@ class HermitePiece:
         c2 = (3 * secant - 2 * slope_lo - slope_hi) / h
         c3 = (slope_lo + slope_hi - 2 * secant) / (h * h)
         self.coeffs = (value_lo, slope_lo, c2, c3)
-        self._f = (float(lo), tuple(float(c) for c in self.coeffs))
 
     def eval(self, x: Rat) -> Rat:
         c0, c1, c2, c3 = self.coeffs
         u = x - self.lo
-        return c0 + u * (c1 + u * (c2 + u * c3))
-
-    def eval_float(self, x: float) -> float:
-        lo, (c0, c1, c2, c3) = self._f
-        u = x - lo
         return c0 + u * (c1 + u * (c2 + u * c3))
 
     def invert_enclosure(self, y: Rat, width: Fraction) -> tuple[Rat, Rat]:
@@ -248,19 +229,6 @@ class HermitePiece:
             else:
                 b = m
         return a, b
-
-    def invert_float(self, y: float) -> float:
-        a, b = float(self.lo), float(self.hi)
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            if self.eval_float(m) <= y:
-                a = m
-            else:
-                b = m
-        return 0.5 * (a + b)
-
-    def kind(self) -> str:
-        return "hermite"
 
     def piece_spec(self) -> dict:
         return {"kind": "hermite", "lo": rat_str(self.lo), "hi": rat_str(self.hi),
@@ -323,8 +291,7 @@ class AffineMap(MapTree):
 
     def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
         lo, hi = enc.rational_ends
-        return _image(enc, self.slope * lo + self.offset, self.slope * hi + self.offset,
-                      enc.exact)
+        return _image(enc, self.slope * lo + self.offset, self.slope * hi + self.offset)
 
     def to_spec(self):
         return {"kind": "affine", "slope": rat_str(self.slope), "offset": rat_str(self.offset)}
@@ -362,26 +329,24 @@ class FundamentalDomainMap(MapTree):
         self.label = label
         self.x_lo = x_lo
         self.value_lo = pieces[0].eval(x_lo)
-        self._breaks = [float(p.lo) for p in pieces]
         self._breaks_exact = [p.lo for p in pieces]
         self._value_breaks = [p.eval(p.lo) for p in pieces]
+        # one float table of the pieces, as lists for the scalar evaluations
+        # and as arrays for the array ones: rows (lo, c0, c1, c2, c3) of each
+        # piece as a cubic in u = x - lo (c2 = c3 = 0 on affine pieces), the
+        # piece ends, the value breaks and which pieces bisect to invert
+        self._rows = [tuple(float(c) for c in (p.lo, *p.coeffs)) for p in pieces]
+        self._breaks = [row[0] for row in self._rows]
+        self._ends = [float(p.hi) for p in pieces]
         self._value_breaks_f = [float(v) for v in self._value_breaks]
-        self._x_lo_f = float(x_lo)
-        self._value_lo_f = float(self.value_lo)
-        # per-piece float arrays for eval_array: the cubic (c0, c1, c2, c3) in
-        # u = x - lo (c2 = c3 = 0 on affine pieces), the piece ends, and which
-        # pieces need bisection to invert
-        hermite = [isinstance(p, HermitePiece) for p in pieces]
-        self._cubic = np.array([p._f[1] if h else p._f[1:] + (0.0, 0.0)
-                                for p, h in zip(pieces, hermite)]).T
-        self._hermite = np.array(hermite)
-        self._lo_arr = np.array(self._breaks)
-        self._hi_arr = np.array([float(p.hi) for p in pieces])
-        self._value_lo_arr = np.array(self._value_breaks_f)
+        self._hermite = [isinstance(p, HermitePiece) for p in pieces]
+        self._table = np.array(list(zip(*self._rows)))
+        self._ends_arr, self._value_breaks_arr, self._hermite_arr = map(
+            np.array, (self._ends, self._value_breaks_f, self._hermite))
 
-    def _piece_at(self, xr: Rat) -> Piece:
-        i = bisect.bisect_right(self._breaks_exact, xr) - 1
-        return self.pieces[max(0, min(i, len(self.pieces) - 1))]
+    def _index(self, breaks: list, v) -> int:
+        """The piece whose entry in breaks is the last one <= v, clamped."""
+        return max(0, min(bisect.bisect_right(breaks, v) - 1, len(self.pieces) - 1))
 
     def eval_exact_point(self, x: Rat) -> Rat:
         k = math.floor(x - self.x_lo)
@@ -389,68 +354,80 @@ class FundamentalDomainMap(MapTree):
         if xr == self.x_lo + 1:  # guard against Fraction floor edge
             k += 1
             xr -= 1
-        return self._piece_at(xr).eval(xr) + self.degree * k
+        return self.pieces[self._index(self._breaks_exact, xr)].eval(xr) + self.degree * k
 
     def eval_float(self, x):
-        k = math.floor(x - self._x_lo_f)
+        k = math.floor(x - self._breaks[0])
         xr = x - k
         i = bisect.bisect_right(self._breaks, xr) - 1
-        i = max(0, min(i, len(self.pieces) - 1))
-        return self.pieces[i].eval_float(xr) + self.degree * k
+        lo, c0, c1, c2, c3 = self._rows[max(0, min(i, len(self._rows) - 1))]
+        u = xr - lo
+        return c0 + u * (c1 + u * (c2 + u * c3)) + self.degree * k
 
     def _cubic_at(self, i: np.ndarray, xr: np.ndarray) -> np.ndarray:
         """Piece i[j] at xr[j], by eval_float's Horner scheme."""
-        c0, c1, c2, c3 = self._cubic[:, i]
-        u = xr - self._lo_arr[i]
+        lo, c0, c1, c2, c3 = self._table[:, i]
+        u = xr - lo
         return c0 + u * (c1 + u * (c2 + u * c3))
 
     def eval_array(self, xs):
-        k = np.floor(xs - self._x_lo_f)
+        k = np.floor(xs - self._breaks[0])
         xr = xs - k
-        i = np.searchsorted(self._lo_arr, xr, side="right") - 1
+        i = np.searchsorted(self._table[0], xr, side="right") - 1
         i = np.clip(i, 0, len(self.pieces) - 1)
         return self._cubic_at(i, xr) + self.degree * k
 
     def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
         lo, hi = enc.rational_ends
-        return _image(enc, self.eval_exact_point(lo), self.eval_exact_point(hi), enc.exact)
+        return _image(enc, self.eval_exact_point(lo), self.eval_exact_point(hi))
 
-    def invert_exact(self, y: Rat, width: Fraction) -> tuple[Rat, Rat, bool]:
-        """(lo, hi, exact) enclosing F^{-1}(y); exact on affine pieces."""
+    def invert_exact(self, y: Rat, width: Fraction) -> tuple[Rat, Rat]:
+        """(lo, hi) enclosing F^{-1}(y): lo == hi on affine pieces, the
+        bisection bracket, of width at most width, on cubic ones."""
         k = math.floor((y - self.value_lo) / self.degree)
         yr = y - self.degree * k
         if yr == self.value_lo + self.degree:
             k += 1
             yr -= self.degree
-        i = bisect.bisect_right(self._value_breaks, yr) - 1
-        i = max(0, min(i, len(self.pieces) - 1))
-        piece = self.pieces[i]
+        piece = self.pieces[self._index(self._value_breaks, yr)]
         if isinstance(piece, AffinePiece):
             x = piece.invert(yr)
-            return x + k, x + k, True
+            return x + k, x + k
         a, b = piece.invert_enclosure(yr, width)
-        return a + k, b + k, False
+        return a + k, b + k
 
     def invert_float(self, y: float) -> float:
-        k = math.floor((y - self._value_lo_f) / self.degree)
+        """The float inverse: the affine formula on affine pieces, a 60-step
+        bisection of the Horner cubic on cubic ones."""
+        k = math.floor((y - self._value_breaks_f[0]) / self.degree)
         yr = y - self.degree * k
-        i = bisect.bisect_right(self._value_breaks_f, yr) - 1
-        i = max(0, min(i, len(self.pieces) - 1))
-        return self.pieces[i].invert_float(yr) + k
+        i = self._index(self._value_breaks_f, yr)
+        lo, c0, c1, c2, c3 = self._rows[i]
+        if not self._hermite[i]:
+            return lo + (yr - c0) / c1 + k
+        a, b = lo, self._ends[i]
+        for _ in range(60):
+            m = 0.5 * (a + b)
+            u = m - lo
+            if c0 + u * (c1 + u * (c2 + u * c3)) <= yr:
+                a = m
+            else:
+                b = m
+        return 0.5 * (a + b) + k
 
     def invert_array(self, ys: np.ndarray) -> np.ndarray:
         """invert_float at each element: the affine formula on affine pieces,
         invert_float's 60-step bisection, run on arrays, on cubic ones."""
-        k = np.floor((ys - self._value_lo_f) / self.degree)
+        k = np.floor((ys - self._value_breaks_f[0]) / self.degree)
         yr = ys - self.degree * k
-        i = np.searchsorted(self._value_lo_arr, yr, side="right") - 1
+        i = np.searchsorted(self._value_breaks_arr, yr, side="right") - 1
         i = np.clip(i, 0, len(self.pieces) - 1)
-        c0, c1 = self._cubic[0, i], self._cubic[1, i]
-        x = self._lo_arr[i] + (yr - c0) / c1
-        cubic = np.flatnonzero(self._hermite[i])
+        lo, c0, c1 = self._table[:3, i]
+        x = lo + (yr - c0) / c1
+        cubic = np.flatnonzero(self._hermite_arr[i])
         if cubic.size:
             i, yr = i[cubic], yr[cubic]
-            a, b = self._lo_arr[i], self._hi_arr[i]
+            a, b = lo[cubic], self._ends_arr[i]
             for _ in range(60):
                 m = 0.5 * (a + b)
                 below = self._cubic_at(i, m) <= yr

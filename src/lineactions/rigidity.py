@@ -136,23 +136,20 @@ def _decompose(ts: np.ndarray, h: MapTree, window: float) -> tuple[np.ndarray, n
 
 def solve_conjugacy(g: MapTree, h: MapTree, n: int, grid_step: float = 1e-3,
                     window: float = 10.0, tol: float = 1e-8,
-                    max_iters: int = 200, relation_tol: Optional[float] = None,
-                    detect_on_failure: bool = True) -> ConjugacyResult:
+                    max_iters: int = 200, detect_on_failure: bool = True) -> ConjugacyResult:
     """Iterate the rigidity operator to the conjugacy with the standard action.
 
     Preconditions: the relation g h g^{-1} = h^n holds on samples within
-    relation_tol (default tol), and g is uniformly expanding on the window.
+    max(tol, 1e-12), and g is uniformly expanding on the window.
     Convergence requires the successive sup-change to fall below tol and both
     conjugacy residuals to reach tol.
     """
     if n < 2:
         raise PreconditionError(f"need n >= 2, got {n}")
-    if relation_tol is None:
-        relation_tol = tol
-    residual = _relation_residual(g, h, n, window)
-    if residual > max(relation_tol, 1e-12):
+    residual, relation_tol = _relation_residual(g, h, n, window), max(tol, 1e-12)
+    if residual > relation_tol:
         raise PreconditionError(
-            f"relation residual {residual:.3g} exceeds {max(relation_tol, 1e-12):.3g}")
+            f"relation residual {residual:.3g} exceeds {relation_tol:.3g}")
     slope = _min_slope(g, window)
     if slope <= 1.0:
         raise PreconditionError(
@@ -240,7 +237,7 @@ def _orbit_classification(g: MapTree, x_star: float, eps: float = 1e-4,
 
 
 def detect_nonstandard(g: MapTree, h: MapTree, n: int, window: float = 5.0,
-                       samples: int = 4001, relation_tol: float = 1e-9) -> dict:
+                       samples: int = 4001) -> dict:
     """Classify whether g's fixed-point structure obstructs conjugacy to g0 = n x.
 
     Locates fixed points of g by sign-change bisection and tests each for
@@ -250,9 +247,8 @@ def detect_nonstandard(g: MapTree, h: MapTree, n: int, window: float = 5.0,
     is found in the window.
     """
     residual = _relation_residual(g, h, n, window)
-    if residual > relation_tol:
-        raise PreconditionError(
-            f"relation residual {residual:.3g} exceeds {relation_tol:.3g}")
+    if residual > 1e-9:
+        raise PreconditionError(f"relation residual {residual:.3g} exceeds 1e-09")
     xs = np.linspace(-window, window, samples)
     ds = g.eval_array(xs) - xs
     fixed_points = []

@@ -42,6 +42,13 @@ def test_relation_exact_on_linear_paths(act23):
             assert float(r["residual_bound"]) < 1e-3
 
 
+def test_relation_exact_through_a_forward_cubic_join(act23):
+    # g_m^-1(383/800) lands on an affine piece of Theta_2 and Theta_3 then
+    # evaluates its cubic join, exactly on a rational: an exact record
+    assert act23.relation_residual_exact([F(383, 800)]) == [
+        {"x": "383/800", "exact_path": True, "residual": "0"}]
+
+
 def test_bs12_action():
     act = build_action(1, 2)
     # h-orbit of 0 is the integers; g conjugates h to h^2

@@ -155,6 +155,23 @@ def test_stored_table_is_verified_again_on_load(action_file, capsys):
     assert table.verified and table.facts == stale_facts
 
 
+def test_stored_smoothed_flag_must_match_the_lifts(action_file, capsys):
+    """The smoothed flag is read off the lifts; a file whose stored flag says
+    otherwise is rejected rather than certified in the wrong arithmetic."""
+    run(capsys, "bs", "verify-inclusions", str(action_file))
+    data = json.loads(action_file.read_text())
+    assert data["smoothed"] is False and not cli.action_from_file(action_file).smoothed
+    data["smoothed"] = True
+    action_file.write_text(json.dumps(data))
+    with pytest.raises(PreconditionError, match="smoothed"):
+        cli.action_from_file(action_file)
+    code = cli.main(["bs", "verify-inclusions", str(action_file)])
+    assert code == 2 and "disagrees with the lifts" in capsys.readouterr().err
+    del data["smoothed"]
+    action_file.write_text(json.dumps(data))
+    assert cli.action_from_file(action_file).table.mode == "rational"
+
+
 def test_pipeline_sweep(action_file, capsys):
     run(capsys, "bs", "verify-inclusions", str(action_file))
     code, out = run(capsys, "pipeline", "faithfulness",

@@ -3,11 +3,12 @@
 The digests below pin the canonical JSON (sorted keys) of a fixed set of
 rational certify_word certificates and sweep summaries, of the 256-harmonic
 Fourier-smoothed lifts of Theta_2 and Theta_3 that the analytic action is
-built from, and of the Britton normal forms, rewrite traces and word-problem
-verdicts of a seeded set of words.  A change to the map or certification layers that is
-meant to leave the exact arithmetic alone must leave the digests unchanged; a
-deliberate change of the certificate format or of the rational results must
-update them and say so.
+built from, of the relation residual records at the criterion-1 points and
+at piece-boundary rationals, and of the Britton normal forms, rewrite traces
+and word-problem verdicts of a seeded set of words.  A change to the map or
+certification layers that is meant to leave the exact arithmetic alone must
+leave the digests unchanged; a deliberate change of the certificate format or
+of the rational results must update them and say so.
 """
 
 import hashlib
@@ -25,6 +26,7 @@ PAIRS = [(1, 2), (2, 3), (2, 5), (3, 4)]
 
 CERTIFICATES_SHA256 = "aee7203ce83f12d8c9f583ca761f3264b554133239ddd0e0b29f60dd54523d38"
 SWEEPS_SHA256 = "752f7fdf385a43b19f179bce605d2d642adc7dea15858c22544756cfb3c4b9f2"
+RESIDUALS_SHA256 = "cfb26ade75df19ff293c2f2b09459fe218e1aa3a6f5dbe06b147bd307b2a514e"
 REDUCTIONS_SHA256 = "fc67bca33031bf1a776fb6a4202e5ded888b6738bb043bbffac35aed928eef00"
 SMOOTHED_SHA256 = {
     2: "f323c9902866c51edffad09f19367d2cf2a4f1ac2e4d2d493d4dc9915f4a242f",
@@ -52,6 +54,15 @@ def test_rational_certificates_are_byte_identical(actions):
 def test_rational_sweeps_are_byte_identical(actions):
     records = [sweep_certify(actions[pair], 2, 2, F(7, 10)).to_json() for pair in PAIRS]
     assert _digest(records) == SWEEPS_SHA256
+
+
+def test_relation_residual_records_are_byte_identical(actions):
+    # the criterion-1 points and k/d on [-2, 3) for five d, which include
+    # every piece join of the lifts (all multiples of 1/20)
+    points = [F(3 * i, 999) for i in range(1000)] + [
+        F(k, d) for d in (20, 40, 60, 80, 120) for k in range(-2 * d, 3 * d)]
+    records = [actions[pair].relation_residual_exact(points) for pair in PAIRS]
+    assert _digest(records) == RESIDUALS_SHA256
 
 
 @pytest.mark.parametrize("j", sorted(SMOOTHED_SHA256))

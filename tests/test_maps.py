@@ -103,8 +103,17 @@ def test_float_shift_rounds_outward():
     enc = Enclosure(0.1, 0.1000001).shift(3)
     assert isinstance(enc.lo, float) and isinstance(enc.hi, float)
     assert enc.lo <= F(0.1) + 3 and F(0.1000001) + 3 <= enc.hi
-    exact = Enclosure(F(1, 10), F(1, 5), True).shift(3)
-    assert (exact.lo, exact.hi, exact.exact) == (F(31, 10), F(16, 5), True)
+    exact = Enclosure.point(F(1, 10)).shift(3)
+    assert (exact.lo, exact.hi, exact.exact) == (F(31, 10), F(31, 10), True)
+
+
+def test_exactness_is_read_off_the_endpoints():
+    # exact means one rational endpoint pair, however the enclosure was made
+    assert Enclosure(F(1, 3), F(1, 3)).exact and Enclosure.point(3).exact
+    assert not Enclosure(F(1, 10), F(1, 5)).exact
+    assert not Enclosure.point(0.1).exact and not Enclosure(0.5, 0.5).exact
+    wide = Enclosure(F(1, 10), F(1, 5)).shift(3)
+    assert (wide.lo, wide.hi, wide.exact) == (F(31, 10), F(16, 5), False)
 
 
 TH2, TH3 = build_theta(2), build_theta(3)
@@ -121,13 +130,13 @@ def _point(v):
 # the enclosures they check
 TREE_KINDS = {
     "theta": (TH3, lambda x: _point(TH3.eval_exact_point(x))),
-    "inverse theta": (invert(TH2), lambda x: TH2.invert_exact(x, F(1, 10**40))[:2]),
+    "inverse theta": (invert(TH2), lambda x: TH2.invert_exact(x, F(1, 10**40))),
     "affine": (AFF, lambda x: _point(F(5, 2) * x - F(1, 3))),
     "translate conjugate": (TranslateConjugate(HALF, TH2),
                             lambda x: _point(TH2.eval_exact_point(x - HALF) + HALF)),
     "compose": (compose(TH3, invert(TH2)),
                 lambda x: tuple(TH3.eval_exact_point(v)
-                                for v in TH2.invert_exact(x, F(1, 10**40))[:2])),
+                                for v in TH2.invert_exact(x, F(1, 10**40)))),
 }
 
 
