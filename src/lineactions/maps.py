@@ -27,7 +27,8 @@ float evaluations and a rigorous enclosure evaluation:
 
 Trig-polynomial leaves have float coefficients: they round any input
 outward to floats and return padded float enclosures, so a path through one
-continues in outward-rounded floats.
+continues in outward-rounded floats; their float inverse is Newton's method
+from the affine guess, one cos/sin pass per step (see TrigPolyLift).
 
 The rational pieces, the enclosure type and the rational leaves live in
 lineactions.pieces and are re-exported here; the trig-polynomial leaf, the
@@ -65,6 +66,11 @@ class TrigPolyLift(MapTree):
     certified by a dense derivative minimum (spectral evaluation for large
     coefficient lists) minus a second-derivative Lipschitz guard from the
     coefficient sums.
+
+    The float inverse is Newton's method, safeguarded by bisection, in the
+    one-period bracket that equivariance gives.  It starts from the affine guess
+    (y - a0)/degree when that lies inside the bracket, else from its midpoint,
+    and each step takes F and F' from one cos/sin pass (_value_slope).
     """
 
     def __init__(self, degree: int, a0: float = 0.0,
@@ -84,6 +90,7 @@ class TrigPolyLift(MapTree):
         ac, bs = np.array(self.cos_coeffs), np.array(self.sin_coeffs)
         self._wk, self._ac, self._bs = wk, ac, bs
         self._aw, self._bw = ac * wk, bs * wk
+        self._terms = list(zip(wk.tolist(), self.cos_coeffs, self.sin_coeffs))
         self._spectral = n > 8
         # error model of eval_float, for _pad
         self._amplitude = abs(self.a0) + float(np.sum(np.abs(ac) + np.abs(bs)))
@@ -105,11 +112,8 @@ class TrigPolyLift(MapTree):
         """
         if self._deriv_min is not None:
             return self._deriv_min
-        two_pi = 2 * math.pi
         n = len(self.cos_coeffs)
-        m2 = sum((two_pi * k) ** 2 * (abs(a) + abs(b))
-                 for k, (a, b) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), start=1))
-        margin = -math.inf
+        m2 = sum(w ** 2 * (abs(a) + abs(b)) for w, a, b in self._terms)
         grid = 4096
         while grid < 8 * n:
             grid *= 2
@@ -132,14 +136,26 @@ class TrigPolyLift(MapTree):
             phases = self._wk * x
             return self.a0 + float(np.dot(self._ac, np.cos(phases))
                                    + np.dot(self._bs, np.sin(phases)))
-        two_pi = 2 * math.pi
         s = self.a0
-        for k, (a, b) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), start=1):
-            s += a * math.cos(two_pi * k * x) + b * math.sin(two_pi * k * x)
+        for w, a, b in self._terms:
+            s += a * math.cos(w * x) + b * math.sin(w * x)
         return s
 
     def eval_float(self, x):
         return self.degree * x + self._periodic(x)
+
+    def _value_slope(self, x: float) -> tuple:
+        """(_periodic(x), F'(x) - degree) from one cos and sin per harmonic."""
+        if self._spectral:
+            cos, sin = np.cos(self._wk * x), np.sin(self._wk * x)
+            return (self.a0 + float(np.dot(self._ac, cos) + np.dot(self._bs, sin)),
+                    float(np.dot(self._bw, cos) - np.dot(self._aw, sin)))
+        s, d = self.a0, 0.0
+        for w, a, b in self._terms:
+            c, sn = math.cos(w * x), math.sin(w * x)
+            s += a * c + b * sn
+            d += w * (b * c - a * sn)
+        return s, d
 
     def _series(self, xs: np.ndarray, *weights) -> np.ndarray:
         """Row j: sum_k cw_k cos(2 pi k x) + sw_k sin(2 pi k x) at each x in xs,
@@ -181,17 +197,6 @@ class TrigPolyLift(MapTree):
         return Enclosure(self.eval_float(lo) - self._pad(lo),
                          self.eval_float(hi) + self._pad(hi))
 
-    def _deriv(self, x: float) -> float:
-        if self._spectral:
-            phases = self._wk * x
-            return self.degree + float(np.dot(self._bw, np.cos(phases))
-                                       - np.dot(self._aw, np.sin(phases)))
-        two_pi = 2 * math.pi
-        d = float(self.degree)
-        for k, (a, b) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), start=1):
-            d += two_pi * k * (b * math.cos(two_pi * k * x) - a * math.sin(two_pi * k * x))
-        return d
-
     def invert_float(self, y: float) -> float:
         # equivariance gives a one-period bracket: F(k) <= y < F(k+1)
         k = math.floor((y - self._f0) / self.degree)
@@ -200,16 +205,18 @@ class TrigPolyLift(MapTree):
             a, b = a - 1.0, a
         while self.eval_float(b) < y:
             a, b = b, b + 1.0
-        x = a + (b - a) * 0.5
+        x = (y - self.a0) / self.degree
+        x = x if a < x < b else a + (b - a) * 0.5
         for _ in range(80):
-            fx = self.eval_float(x) - y
+            per, slope = self._value_slope(x)
+            fx = self.degree * x + per - y
             if abs(fx) <= 1e-14 * max(1.0, abs(y)):
                 return x
             if fx < 0:
                 a = x
             else:
                 b = x
-            d = self._deriv(x)
+            d = self.degree + slope
             xn = x - fx / d if d > 0 else 0.5 * (a + b)
             if not (a < xn < b):
                 xn = 0.5 * (a + b)
@@ -219,8 +226,8 @@ class TrigPolyLift(MapTree):
         return x
 
     def invert_array(self, ys: np.ndarray) -> np.ndarray:
-        """invert_float at each element: the same bracket, Newton step and
-        stopping tests, run on arrays; an element is frozen once it stops."""
+        """invert_float at each element: the same bracket, start, Newton step
+        and stopping tests, run on arrays; an element is frozen once it stops."""
         a = np.floor((ys - self._f0) / self.degree)
         b = a + 1.0
         todo = np.flatnonzero(self.eval_array(a) > ys)
@@ -233,7 +240,8 @@ class TrigPolyLift(MapTree):
             a[todo] = b[todo]
             b[todo] += 1.0
             todo = todo[self.eval_array(b[todo]) < ys[todo]]
-        x = a + (b - a) * 0.5
+        x = (ys - self.a0) / self.degree
+        x = np.where((a < x) & (x < b), x, a + (b - a) * 0.5)
         todo = np.arange(len(ys))
         for _ in range(80):
             if not todo.size:

@@ -383,7 +383,9 @@ class FundamentalDomainMap(MapTree):
 
     def invert_exact(self, y: Rat, width: Fraction) -> tuple[Rat, Rat]:
         """(lo, hi) enclosing F^{-1}(y): lo == hi on affine pieces, the
-        bisection bracket, of width at most width, on cubic ones."""
+        bisection bracket, of width at most width (> 0), on cubic ones."""
+        if not width > 0:
+            raise PreconditionError(f"inverse width must be positive, got {width}")
         k = math.floor((y - self.value_lo) / self.degree)
         yr = y - self.degree * k
         if yr == self.value_lo + self.degree:

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lineactions.errors import ConstructionError, PreconditionError
-from lineactions.maps import (DEFAULT_INVERSE_WIDTH, AffineMap, Enclosure,
-                              HermitePiece, TranslateConjugate, TrigPolyLift,
+from lineactions.maps import (DEFAULT_INVERSE_WIDTH, FLOAT_INVERSE_WIDTH, AffineMap,
+                              Enclosure, HermitePiece, TranslateConjugate, TrigPolyLift,
                               build_theta, compose, decimal_down, decimal_up,
                               fourier_smooth, from_grid, from_knots, from_spec,
                               identity, invert, iterate, sine_lift)
@@ -229,6 +229,54 @@ def test_trig_inverse_enclosure_contains_true_inverse_at_large_y(trig_lifts, nam
     assert enc.hi - enc.lo < 1e-14 * abs(y)
 
 
+def _assert_newton_stopped(lift, y, x):
+    """x meets one of invert_float's stopping tests: |F(x) - y| within
+    1e-14 max(1, |y|), or a bracket of width FLOAT_INVERSE_WIDTH max(1, |x|)
+    around x in which F crosses y."""
+    if abs(lift.eval_float(x) - y) <= 1e-14 * max(1.0, abs(y)):
+        return
+    w = FLOAT_INVERSE_WIDTH * max(1.0, abs(x))
+    assert lift.eval_float(x - w) <= y <= lift.eval_float(x + w)
+
+
+def _newton_start_inside(lift, x):
+    """Whether the affine guess (F(x) - a0)/degree lies strictly inside the
+    one-period bracket [floor(x), floor(x) + 1] that holds x."""
+    guess = (lift.eval_float(x) - lift.a0) / lift.degree
+    return math.floor(x) < guess < math.floor(x) + 1
+
+
+@given(amplitude=st.floats(min_value=0.005, max_value=0.03),
+       phase=st.floats(min_value=0, max_value=1),
+       k=st.integers(min_value=-10**6, max_value=10**6),
+       frac=st.floats(min_value=0.05, max_value=0.95))
+@settings(max_examples=80, deadline=None)
+def test_newton_from_the_affine_guess(amplitude, phase, k, frac):
+    # a sine lift moves the inverse by at most its amplitude off the affine
+    # guess, so away from the integers Newton starts from the guess
+    t = 2 * math.pi * phase
+    lift = TrigPolyLift(1, 0.0, (-amplitude * math.sin(t),), (amplitude * math.cos(t),))
+    y = lift.eval_float(k + frac)
+    x = lift.invert_float(y)
+    assert _newton_start_inside(lift, x)
+    _assert_newton_stopped(lift, y, x)
+    _assert_newton_stopped(lift, y, float(lift.invert_array(np.array([y]))[0]))
+
+
+@pytest.mark.parametrize("harmonics", [8, 16])
+@pytest.mark.parametrize("x0", [0.01, 0.02, -3.99, 7.015, 0.5])
+def test_newton_from_the_midpoint(harmonics, x0):
+    # the smoothed Theta_2 is nearly flat just past each integer, where the
+    # affine guess falls a third of a period below the bracket
+    lift = fourier_smooth(TH2, 2, harmonics)
+    y = lift.eval_float(x0)
+    x = lift.invert_float(y)
+    assert abs(x - x0) < 1e-12 * max(1.0, abs(x0))
+    assert _newton_start_inside(lift, x) == (x0 == 0.5)
+    _assert_newton_stopped(lift, y, x)
+    _assert_newton_stopped(lift, y, float(lift.invert_array(np.array([y]))[0]))
+
+
 KNOTS = from_knots([(F(-1, 3), F(-1, 5)), (F(1, 4), F(1, 2)), (F(1, 2), F(3, 5))], 1)
 SMALL_TRIG = TrigPolyLift(1, 0.01, (0.01, -0.005), (0.02, 0.003))
 BIG_TRIG = fourier_smooth(build_theta(2), 2, 16)
@@ -305,6 +353,61 @@ def test_compose_iterate_and_inverse_normalization():
 def test_hermite_monotonicity_guard():
     with pytest.raises(ConstructionError):
         HermitePiece(F(0), F(1), F(0), F(1, 100), F(1), F(1, 10))
+
+
+# the cubic joins of Theta_2..Theta_5 and a piece whose left slope sits on the
+# Fritsch-Carlson bound 3*secant (secant 10/3) while its right one is nearly 0
+HERMITE_PIECES = [build_theta(j, a).pieces[1]
+                  for j in range(2, 6) for a in (F(1, 10), F(1, 8), F(1, 6))] + [
+    HermitePiece(F(1, 5), F(1, 2), F(-1, 3), F(2, 3), F(10), F(1, 1000))]
+HERMITE_WIDTHS = [F(1, 10**30), F(1, 2**52), F(1, 10**6), F(1), "h"]
+
+
+@given(piece=st.sampled_from(HERMITE_PIECES), width=st.sampled_from(HERMITE_WIDTHS),
+       t=st.one_of(st.sampled_from([F(0), F(1), F(-1, 10**40), F(1) + F(1, 10**40), F(-3), F(4)]),
+                   st.integers(-10**39, 11 * 10**39).map(lambda n: F(n, 10**40))),
+       hit=st.none() | st.integers(1, 63))
+@settings(max_examples=150, deadline=None)
+def test_hermite_inversion_contract(piece, width, t, hit):
+    # y = value_lo + t (value_hi - value_lo): t in [0, 1] inside the range,
+    # its ends at value_lo and value_hi, outside it otherwise; or y = F at
+    # lo + hit h / 64, a point the bisection visits
+    h = piece.hi - piece.lo
+    width = h if width == "h" else width
+    y = (piece.eval(piece.lo + hit * h / 64) if hit else
+         piece.value_lo + t * (piece.value_hi - piece.value_lo))
+    a, b = piece.invert_enclosure(y, width)
+    # the fewest halvings of [lo, hi] that reach the width: b - a = h / 2^N
+    halvings = h / (b - a)
+    assert halvings.denominator == 1 and halvings.numerator & (halvings.numerator - 1) == 0
+    if width >= h:
+        assert (a, b) == (piece.lo, piece.hi)
+    else:
+        assert b - a <= width < 2 * (b - a)
+    # both ends on the grid lo + k h / 2^N
+    assert ((a - piece.lo) / (b - a)).denominator == 1
+    # F(a) <= y < F(b), except where y leaves the range and the bracket is
+    # clamped to an end of the piece
+    if y >= piece.value_lo:
+        assert piece.eval(a) <= y
+    else:
+        assert a == piece.lo
+    if y < piece.value_hi:
+        assert y < piece.eval(b)
+    else:
+        assert b == piece.hi
+
+
+@pytest.mark.parametrize("width", [F(0), F(-1, 10**6)])
+def test_inverse_width_must_be_positive(width):
+    # a bisection to a non-positive width would never end
+    th3 = build_theta(3)
+    join = th3.pieces[1]
+    y = (join.value_lo + join.value_hi) / 2
+    with pytest.raises(PreconditionError):
+        invert(th3).eval_enclosure(Enclosure.point(y), inverse_width=width)
+    with pytest.raises(PreconditionError):
+        th3.invert_exact(th3.pieces[0].value_lo, width)
 
 
 def test_theta_parameter_guards():
