@@ -16,7 +16,6 @@ an exponent/syllable box at once by collapsing words onto shared
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -25,8 +24,8 @@ import numpy as np
 
 from .errors import ConstructionError, PreconditionError
 from .maps import (AffineMap, Enclosure, MapTree, TranslateConjugate, TrigPolyLift,
-                   build_theta, compose, fourier_smooth, from_spec, invert, leaves, rat,
-                   rat_str)
+                   build_theta, compose, fixed_points, fourier_smooth, from_spec, invert,
+                   leaves, rat, rat_str, read_field, relation_residual)
 from .words import BSWord, NormalForm, _pinch_between, count_pinch_free
 
 BOUNDARY_GUARD = Fraction(1, 10**12)
@@ -39,9 +38,6 @@ class Window:
     lo: Fraction
     hi: Fraction
     name: str
-
-    def shifted(self, k) -> "Window":
-        return Window(self.lo + k, self.hi + k, f"{self.name}+{k}")
 
     def to_json(self):
         return {"name": self.name, "lo": rat_str(self.lo), "hi": rat_str(self.hi)}
@@ -146,13 +142,10 @@ class BSAction:
         g = compose(g_n, invert(g_m))
         return cls(m, n, a, g_n, g_m, g, invert(g), AffineMap(1, 1))
 
-    def relation_residual(self, samples: int = 1000, lo: float = 0.0,
-                          hi: float = 3.0) -> float:
-        """sup |g(h^m(x)) - h^n(g(x))| over an even float sample of [lo, hi]."""
-        xs = lo + (hi - lo) * np.arange(samples) / (samples - 1)
-        lhs = self.g.eval_array(xs + self.m)
-        rhs = self.g.eval_array(xs) + self.n
-        return float(np.max(np.abs(lhs - rhs)))
+    def relation_residual(self, samples: int = 1000) -> float:
+        """sup |g(h^m(x)) - h^n(g(x))| over an even float sample of [0, 3]."""
+        return relation_residual(self.g, self.h, self.m, self.n,
+                                 3.0 * np.arange(samples) / (samples - 1))
 
     def relation_residual_exact(self, points) -> list:
         """Per-point residual records of g(x + m) = g(x) + n at rational x.
@@ -194,9 +187,11 @@ class BSAction:
         """Rebuild an action written by to_json; g and g^-1 are recomposed
         from the lifts.  A stored ping-pong table is not trusted: the
         inclusions are verified again on the rebuilt maps and windows, and a
-        stored smoothed flag must agree with the lifts."""
-        m, n, a = int(data["m"]), int(data["n"]), rat(data["a"])
-        act = cls.from_lifts(m, n, a, from_spec(data["g_n"]), from_spec(data["g_m"]))
+        stored smoothed flag must agree with the lifts.  A missing or malformed
+        field raises PreconditionError naming it."""
+        m, n = read_field(data, "m", int), read_field(data, "n", int)
+        act = cls.from_lifts(m, n, read_field(data, "a", rat),
+                             read_field(data, "g_n", from_spec), read_field(data, "g_m", from_spec))
         if data.get("smoothed", act.smoothed) != act.smoothed:
             raise PreconditionError(
                 f"stored smoothed={data['smoothed']!r} disagrees with the lifts")
@@ -210,7 +205,7 @@ def build_action(m: int, n: int, a=Fraction(1, 10),
     """Construct the action for 1 <= m < n and verify the relation on 1000
     samples to 1e-12.
 
-    With fourier_harmonics set, both lifts are replaced by truncated
+    With fourier_harmonics set, both lifts are replaced by Fejer-smoothed
     trigonometric polynomials (smooth everywhere); the relation still holds
     because it only uses covering-lift equivariance, up to 1e-9 in floats,
     and the inclusions must be re-verified by the caller.
@@ -618,41 +613,19 @@ def rotation_obstruction(m: int, n: int) -> dict:
 
 
 def find_g_fixed_point(g: MapTree, m: int = 1, search_bound: int = 60) -> dict:
-    """Bracket a fixed point of g by scanning x = m*k for a sign change of
-    g(x) - x, then bisecting to width 1e-9.
+    """The first fixed point of g that maps.fixed_points brackets on the grid
+    x = m*k, |k| <= search_bound; k_bracket names the grid cell it lies in.
 
     Assumes the action is normalized so h(x) = x + 1 (fixed-point free).
     """
-    prev_k, prev_sign = None, None
-    hit = None
-    for k in range(-search_bound, search_bound + 1):
-        x = float(m * k)
-        d = g.eval_float(x) - x
-        sgn = (d > 0) - (d < 0)
-        if sgn == 0:
-            return {"k_bracket": (k, k), "bracket": (x, x), "width": 0.0,
-                    "fixed_point": x}
-        if prev_sign is not None and sgn != prev_sign:
-            hit = (prev_k, k)
-            break
-        prev_k, prev_sign = k, sgn
-    if hit is None:
+    xs = m * np.arange(-search_bound, search_bound + 1, dtype=float)
+    brackets = fixed_points(g, xs)
+    if not brackets:
         raise PreconditionError(
             f"no sign change of g(x) - x on x = {m}*k for |k| <= {search_bound}")
-    lo, hi = float(m * hit[0]), float(m * hit[1])
-    f_lo = g.eval_float(lo) - lo
+    lo, hi = brackets[0]
+    k = int(np.searchsorted(xs, lo, side="right")) - 1 - search_bound
     x_star = 0.5 * (lo + hi)
-    residual = math.inf
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        f_mid = g.eval_float(mid) - mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-        x_star = 0.5 * (lo + hi)
-        residual = abs(g.eval_float(x_star) - x_star)
-        if hi - lo <= 1e-9 and residual <= 1e-9:
-            break
-    return {"k_bracket": hit, "bracket": (lo, hi), "width": hi - lo,
-            "fixed_point": x_star, "residual": residual}
+    return {"k_bracket": (k, k if m * k == hi else k + 1), "bracket": (lo, hi),
+            "width": hi - lo, "fixed_point": x_star,
+            "residual": abs(g.eval_float(x_star) - x_star)}

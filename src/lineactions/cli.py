@@ -24,7 +24,7 @@ from .circle import (AtomicCircleMeasure, MonotoneRealMap, SampledIntervalMap,
                      mean_translation_number, translation_number_estimate)
 from .errors import (InconclusiveError, LineActionsError, PreconditionError,
                      PropertyViolationError)
-from .maps import from_spec, rat, rat_str
+from .maps import from_spec, rat, rat_str, read_field
 from .presentations import (CommGraph, PresentationSchema, braid_conjugator,
                             mc_schema, pin_commutator_convention,
                             twisted_generators, verify_autfn_relations)
@@ -432,8 +432,8 @@ def _presentations_cmd(args) -> tuple[dict, int]:
 
 def _rigidity_cmd(args) -> tuple[dict, int]:
     data = load_json(args.action_file)
-    n = args.n or int(data["n"])
-    g, h = from_spec(data["g"]), from_spec(data["h"])
+    n = args.n or read_field(data, "n", int)
+    g, h = read_field(data, "g", from_spec), read_field(data, "h", from_spec)
     if args.action == "solve":
         res = solve_conjugacy(g, h, n, grid_step=args.grid_step,
                               window=args.window, tol=args.tol,

@@ -6,12 +6,12 @@ maps of integer degree, trigonometric-polynomial lifts) and nodes
 float evaluations and a rigorous enclosure evaluation:
 
 * ``eval_float(x)`` maps one float.  It serves sequential orbits, where the
-  next point needs the previous one: translation numbers, bisections for
-  fixed points, orbit classification.
+  next point needs the previous one: translation numbers, the bisection of
+  ``fixed_points``, orbit classification.
 * ``eval_array(xs)`` maps a 1-d float array with numpy and no per-point
   Python loop.  It serves every evaluation over a grid: the conjugacy
-  solver and its relation and slope checks, the detector's scan, Fourier
-  smoothing's samples and ``BSAction.relation_residual``.  On trees with
+  solver and its slope check, the scan of ``fixed_points``, Fourier
+  smoothing's samples and ``relation_residual``.  On trees with
   rational leaves it is bit-identical to ``eval_float``; through a
   trig-polynomial leaf the two differ only by the rounding of cos/sin and of
   the harmonic sums.
@@ -29,6 +29,11 @@ Trig-polynomial leaves have float coefficients: they round any input
 outward to floats and return padded float enclosures, so a path through one
 continues in outward-rounded floats; their float inverse is Newton's method
 from the affine guess, one cos/sin pass per step (see TrigPolyLift).
+
+Two functions on trees serve the BS(m, n) lifts g with h(x) = x + 1:
+``fixed_points(f, xs)`` brackets the fixed points of f on a grid (one
+eval_array scan, then eval_float bisection of each sign change), and
+``relation_residual(g, h, m, n, xs)`` samples g h^m = h^n g on an array.
 
 The rational pieces, the enclosure type and the rational leaves live in
 lineactions.pieces and are re-exported here; the trig-polynomial leaf, the
@@ -423,6 +428,47 @@ def iterate(f: MapTree, n: int) -> MapTree:
     return compose(*([g] * abs(n)))
 
 
+def fixed_points(f: MapTree, xs) -> list:
+    """Brackets (lo, hi) of the fixed points of f seen on the increasing grid
+    xs, left to right.
+
+    f(x) - x is scanned once with eval_array.  A grid point where it is 0
+    gives (x, x).  A cell where it changes sign is bisected with eval_float
+    until f(mid) = mid, which gives (mid, mid), until the midpoint is no
+    longer strictly inside, or for at most 100 halvings.
+    """
+    xs = np.asarray(xs, dtype=float)
+    signs = np.sign(f.eval_array(xs) - xs)
+    hits = signs == 0
+    hits[:-1] |= signs[:-1] * signs[1:] < 0
+    out = []
+    for i in np.flatnonzero(hits):
+        lo = hi = float(xs[i])
+        if signs[i] != 0:
+            hi = float(xs[i + 1])
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
+                d = f.eval_float(mid) - mid
+                if d == 0:
+                    lo = hi = mid
+                    break
+                if (d > 0) == (signs[i] > 0):
+                    lo = mid
+                else:
+                    hi = mid
+        out.append((lo, hi))
+    return out
+
+
+def relation_residual(g: MapTree, h: MapTree, m: int, n: int, xs) -> float:
+    """max |g(h^m(x)) - h^n(g(x))| over the points xs, with eval_array."""
+    lhs = g.eval_array(iterate(h, m).eval_array(xs))
+    rhs = iterate(h, n).eval_array(g.eval_array(xs))
+    return float(np.max(np.abs(lhs - rhs)))
+
+
 def from_knots(knots: Sequence[tuple], degree: int, label: str = "") -> FundamentalDomainMap:
     """Piecewise-affine one-period map through (x, y) knots.
 
@@ -467,30 +513,23 @@ def from_grid(xs: Sequence[float], ys: Sequence[float], degree: int) -> Fundamen
 # Fourier smoothing (opt-in)
 
 
-def fourier_smooth(f: MapTree, degree_hint: int, harmonics: int,
-                   kernel: str = "fejer") -> TrigPolyLift:
+def fourier_smooth(f: MapTree, degree_hint: int, harmonics: int) -> TrigPolyLift:
     """Approximate the periodic part f(x) - degree*x by a trig polynomial.
 
-    kernel="fejer" (default) applies Fejer weights (1 - k/(K+1)): convolution
-    with a nonnegative kernel, so monotonicity survives smoothing at every
-    degree.  kernel="truncate" keeps the raw partial sum, which approximates
-    faster but only becomes monotone at high degree.  The result must be
-    re-verified against whatever inclusions the caller relies on.
+    The partial Fourier sum is damped by the Fejer weights (1 - k/(K+1)):
+    convolution with a nonnegative kernel, so monotonicity survives smoothing
+    at every degree.  The result must be re-verified against whatever
+    inclusions the caller relies on.
     """
     if harmonics < 1:
         raise PreconditionError("need harmonics >= 1")
-    if kernel not in ("fejer", "truncate"):
-        raise PreconditionError(f"unknown smoothing kernel {kernel!r}")
     samples = 1
     while samples < max(8 * harmonics, 4096):
         samples *= 2
     xs = np.arange(samples) / samples
     per = f.eval_array(xs) - degree_hint * xs
     spec = np.fft.rfft(per) / samples
-    if kernel == "fejer":
-        weights = 1.0 - np.arange(harmonics + 1) / (harmonics + 1)
-    else:
-        weights = np.ones(harmonics + 1)
+    weights = 1.0 - np.arange(harmonics + 1) / (harmonics + 1)
     a0 = float(spec[0].real)
     cos_c = [2 * float(spec[k].real) * weights[k] for k in range(1, harmonics + 1)]
     sin_c = [-2 * float(spec[k].imag) * weights[k] for k in range(1, harmonics + 1)]
@@ -501,38 +540,66 @@ def fourier_smooth(f: MapTree, degree_hint: int, harmonics: int,
 # JSON map specs
 
 
+_REQUIRED = object()
+
+
+def read_field(data: dict, key: str, parse, default=_REQUIRED):
+    """parse(data[key]), or parse(default) when the key is absent; a missing
+    or unreadable field raises PreconditionError naming it."""
+    if not isinstance(data, dict):
+        raise PreconditionError(f"expected a JSON object with field {key!r}, got {data!r:.60}")
+    value = data.get(key, default)
+    if value is _REQUIRED:
+        raise PreconditionError(f"missing field {key!r}")
+    try:
+        return parse(value)
+    except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise PreconditionError(f"bad field {key!r}: {value!r:.60} ({exc})") from None
+
+
+def _rats(values) -> list:
+    return [rat(v) for v in values]
+
+
+def _floats(values) -> list:
+    return [float(v) for v in values]
+
+
+def _piece(p: dict):
+    if read_field(p, "kind", str) == "affine":
+        return AffinePiece(*(read_field(p, k, rat) for k in ("lo", "hi", "value_lo", "slope")))
+    return HermitePiece(*(read_field(p, k, rat) for k in
+                          ("lo", "hi", "value_lo", "value_hi", "slope_lo", "slope_hi")))
+
+
 def from_spec(spec: dict) -> MapTree:
-    kind = spec.get("kind")
+    """The map tree a JSON spec describes (the inverse of to_spec); a missing
+    or malformed field raises PreconditionError naming it."""
+    kind = read_field(spec, "kind", str)
     if kind == "affine":
-        return AffineMap(rat(spec["slope"]), rat(spec.get("offset", 0)))
+        return AffineMap(read_field(spec, "slope", rat), read_field(spec, "offset", rat, 0))
     if kind == "theta":
-        return build_theta(int(spec["j"]), rat(spec.get("a", "1/10")))
+        return build_theta(read_field(spec, "j", int), read_field(spec, "a", rat, "1/10"))
     if kind == "compose":
-        return Compose([from_spec(s) for s in spec["of"]])
+        return Compose(read_field(spec, "of", lambda of: [from_spec(s) for s in of]))
     if kind == "inverse":
-        return invert(from_spec(spec["of"]))
+        return invert(read_field(spec, "of", from_spec))
     if kind == "translate_conjugate":
-        return TranslateConjugate(rat(spec["shift"]), from_spec(spec["of"]))
+        return TranslateConjugate(read_field(spec, "shift", rat), read_field(spec, "of", from_spec))
     if kind == "trigpoly":
-        return TrigPolyLift(int(spec["degree"]), float(spec.get("a0", 0.0)),
-                            spec.get("cos", ()), spec.get("sin", ()))
+        return TrigPolyLift(read_field(spec, "degree", int), read_field(spec, "a0", float, 0.0),
+                            read_field(spec, "cos", _floats, ()),
+                            read_field(spec, "sin", _floats, ()))
     if kind == "sine_lift":
-        return sine_lift(spec["amplitude"])
+        return sine_lift(read_field(spec, "amplitude", rat))
     if kind == "knots":
-        return from_knots([(k[0], k[1]) for k in spec["points"]], int(spec["degree"]),
-                          spec.get("label", ""))
+        return from_knots(read_field(spec, "points", lambda ps: [(rat(x), rat(y)) for x, y in ps]),
+                          read_field(spec, "degree", int), read_field(spec, "label", str, ""))
     if kind == "grid":
-        return from_grid([rat(v) for v in spec["xs"]], [rat(v) for v in spec["ys"]],
-                         int(spec["degree"]))
+        return from_grid(read_field(spec, "xs", _rats), read_field(spec, "ys", _rats),
+                         read_field(spec, "degree", int))
     if kind == "fundamental":
-        pieces = []
-        for p in spec["pieces"]:
-            if p["kind"] == "affine":
-                pieces.append(AffinePiece(rat(p["lo"]), rat(p["hi"]),
-                                          rat(p["value_lo"]), rat(p["slope"])))
-            else:
-                pieces.append(HermitePiece(rat(p["lo"]), rat(p["hi"]),
-                                           rat(p["value_lo"]), rat(p["value_hi"]),
-                                           rat(p["slope_lo"]), rat(p["slope_hi"])))
-        return FundamentalDomainMap(pieces, int(spec["degree"]), spec.get("label", ""))
+        return FundamentalDomainMap(read_field(spec, "pieces", lambda ps: [_piece(p) for p in ps]),
+                                    read_field(spec, "degree", int),
+                                    read_field(spec, "label", str, ""))
     raise PreconditionError(f"unknown map kind {kind!r}")

@@ -134,11 +134,11 @@ class Enclosure:
         return lo <= self.lo and self.hi <= hi
 
     def to_json(self) -> dict:
-        if isinstance(self.lo, Fraction):
-            return {"lo": rat_str(self.lo), "hi": rat_str(self.hi),
-                    "lo_decimal": decimal_down(self.lo), "hi_decimal": decimal_up(self.hi),
-                    "rounding": "exact" if self.exact else "outward-rational"}
-        return {"lo": repr(self.lo), "hi": repr(self.hi), "rounding": "outward-float"}
+        if isinstance(self.lo, float):
+            return {"lo": repr(self.lo), "hi": repr(self.hi), "rounding": "outward-float"}
+        return {"lo": rat_str(self.lo), "hi": rat_str(self.hi),
+                "lo_decimal": decimal_down(self.lo), "hi_decimal": decimal_up(self.hi),
+                "rounding": "exact" if self.exact else "outward-rational"}
 
 
 def _image(enc: Enclosure, lo: Fraction, hi: Fraction) -> Enclosure:

@@ -23,49 +23,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import InconclusiveError, PreconditionError
-from .maps import MapTree, invert
-
-
-def _relation_residual(g: MapTree, h: MapTree, n: int, window: float,
-                       samples: int = 257) -> float:
-    """sup |g(h(x)) - h^n(g(x))| over an even sample of [-window, window]."""
-    xs = -window + 2 * window * np.arange(samples) / (samples - 1)
-    lhs = g.eval_array(h.eval_array(xs))
-    rhs = g.eval_array(xs)
-    for _ in range(n):
-        rhs = h.eval_array(rhs)
-    return float(np.max(np.abs(lhs - rhs)))
+from .maps import AffineMap, MapTree, compose, fixed_points, invert, relation_residual
 
 
 def _min_slope(g: MapTree, window: float, samples: int = 2001) -> float:
     xs = np.linspace(-window, window, samples)
     ys = g.eval_array(xs)
     return float(np.min(np.diff(ys) / np.diff(xs)))
-
-
-def _expanding_fixed_point(g: MapTree, window: float) -> float:
-    """Unique fixed point of an expanding g, by bisection on g(x) - x."""
-    lo, hi = -window, window
-    f_lo = g.eval_float(lo) - lo
-    f_hi = g.eval_float(hi) - hi
-    if f_lo == 0:
-        return lo
-    if f_hi == 0:
-        return hi
-    if (f_lo > 0) == (f_hi > 0):
-        raise PreconditionError(
-            f"g(x) - x has no sign change on [-{window}, {window}]; "
-            "cannot normalize the fixed point")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = g.eval_float(mid) - mid
-        if f_mid == 0 or hi - lo < 1e-15:
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass
@@ -136,7 +100,7 @@ def _decompose(ts: np.ndarray, h: MapTree, window: float) -> tuple[np.ndarray, n
 
 def solve_conjugacy(g: MapTree, h: MapTree, n: int, grid_step: float = 1e-3,
                     window: float = 10.0, tol: float = 1e-8,
-                    max_iters: int = 200, detect_on_failure: bool = True) -> ConjugacyResult:
+                    max_iters: int = 200) -> ConjugacyResult:
     """Iterate the rigidity operator to the conjugacy with the standard action.
 
     Preconditions: the relation g h g^{-1} = h^n holds on samples within
@@ -146,7 +110,8 @@ def solve_conjugacy(g: MapTree, h: MapTree, n: int, grid_step: float = 1e-3,
     """
     if n < 2:
         raise PreconditionError(f"need n >= 2, got {n}")
-    residual, relation_tol = _relation_residual(g, h, n, window), max(tol, 1e-12)
+    residual = relation_residual(g, h, 1, n, np.linspace(-window, window, 257))
+    relation_tol = max(tol, 1e-12)
     if residual > relation_tol:
         raise PreconditionError(
             f"relation residual {residual:.3g} exceeds {relation_tol:.3g}")
@@ -155,7 +120,12 @@ def solve_conjugacy(g: MapTree, h: MapTree, n: int, grid_step: float = 1e-3,
         raise PreconditionError(
             f"not in the perturbation regime: min slope estimate {slope:.4g} <= 1")
 
-    x_star = _expanding_fixed_point(g, window)
+    brackets = fixed_points(g, [-window, window])
+    if not brackets:
+        raise PreconditionError(
+            f"g(x) - x has no sign change on [-{window}, {window}]; "
+            "cannot normalize the fixed point")
+    x_star = 0.5 * (brackets[0][0] + brackets[0][1])
     h_hat_tree = _shift_conjugate(h, x_star)
 
     npts = int(round(2 * window / grid_step)) + 1
@@ -193,7 +163,7 @@ def solve_conjugacy(g: MapTree, h: MapTree, n: int, grid_step: float = 1e-3,
                 break
 
     detect_report = None
-    if verdict != "converged" and detect_on_failure:
+    if verdict != "converged":
         try:
             detect_report = detect_nonstandard(g, h, n, window=window)
             if detect_report["classification"] == "not_conjugate_to_standard":
@@ -209,7 +179,6 @@ def _shift_conjugate(f: MapTree, x_star: float) -> MapTree:
     """f conjugated by the translation moving g's fixed point to 0."""
     if x_star == 0.0:
         return f
-    from .maps import AffineMap, compose
     return compose(AffineMap(1, -Fraction(x_star)), f, AffineMap(1, Fraction(x_star)))
 
 
@@ -240,41 +209,23 @@ def detect_nonstandard(g: MapTree, h: MapTree, n: int, window: float = 5.0,
                        samples: int = 4001) -> dict:
     """Classify whether g's fixed-point structure obstructs conjugacy to g0 = n x.
 
-    Locates fixed points of g by sign-change bisection and tests each for
-    attraction with two-sided orbits.  Any attracting fixed point certifies
-    "not conjugate to standard" with that witness; otherwise the action is
-    "consistent with standard".  Raises InconclusiveError when no fixed point
-    is found in the window.
+    Locates fixed points of g with maps.fixed_points on ``samples`` grid
+    points and tests each for attraction with two-sided orbits.  Any
+    attracting fixed point certifies "not conjugate to standard" with that
+    witness; otherwise the action is "consistent with standard".  Raises
+    InconclusiveError when no fixed point is found in the window.
     """
-    residual = _relation_residual(g, h, n, window)
+    residual = relation_residual(g, h, 1, n, np.linspace(-window, window, 257))
     if residual > 1e-9:
         raise PreconditionError(f"relation residual {residual:.3g} exceeds 1e-09")
-    xs = np.linspace(-window, window, samples)
-    ds = g.eval_array(xs) - xs
-    fixed_points = []
-    for i in range(len(xs) - 1):
-        if ds[i] == 0.0:
-            fixed_points.append(float(xs[i]))
-        elif ds[i] * ds[i + 1] < 0:
-            lo, hi = float(xs[i]), float(xs[i + 1])
-            f_lo = ds[i]
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                f_mid = g.eval_float(mid) - mid
-                if (f_mid > 0) == (f_lo > 0):
-                    lo, f_lo = mid, f_mid
-                else:
-                    hi = mid
-            fixed_points.append(0.5 * (lo + hi))
-    if ds[-1] == 0.0:
-        fixed_points.append(float(xs[-1]))
-    if not fixed_points:
+    found = [0.5 * (lo + hi) for lo, hi in fixed_points(g, np.linspace(-window, window, samples))]
+    if not found:
         raise InconclusiveError(
             f"no fixed point of g found in [-{window}, {window}]; "
             "cannot classify (reported, not guessed)")
     report = {"fixed_points": [], "classification": "consistent_with_standard",
               "witness": None}
-    for x_star in fixed_points:
+    for x_star in found:
         kind = _orbit_classification(g, x_star)
         report["fixed_points"].append({"x": x_star, "type": kind})
         if kind == "attracting" and report["witness"] is None:

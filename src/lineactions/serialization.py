@@ -6,7 +6,6 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -23,7 +22,10 @@ def emit_json(data, path=None) -> str:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise PreconditionError(f"{path} is not valid JSON: {exc}") from None
 
 
 def load_map(path) -> MapTree:

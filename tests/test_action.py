@@ -245,6 +245,15 @@ def test_find_g_fixed_point_constructed(act23):
     assert res["residual"] <= 1e-9
 
 
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 3), (2, 5), (3, 4)])
+def test_find_g_fixed_point_to_adjacent_floats(m, n):
+    res = find_g_fixed_point(build_action(m, n).g, m)
+    lo, hi = res["bracket"]
+    assert res["residual"] <= 1e-12
+    assert res["k_bracket"] == (0, 1) and 0 < lo < hi < m
+    assert res["width"] == hi - lo and lo <= res["fixed_point"] <= hi
+
+
 def test_find_g_fixed_point_error_path():
     with pytest.raises(PreconditionError, match="no sign change"):
         find_g_fixed_point(AffineMap(1, 1), 1, search_bound=20)

@@ -316,3 +316,26 @@ def test_json_reports_round_trip(action_file, capsys):
     act = cli.action_from_file(action_file)
     assert act.table.verified
     assert json.loads(json.dumps(data)) == data
+
+
+@pytest.mark.parametrize("spec, field", [({"kind": "theta"}, "'j'"),
+                                         ({"kind": "affine", "slope": "abc"}, "'slope'")])
+def test_malformed_map_spec_exits_2(tmp_path, capsys, spec, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["rotnum", "--map", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_action_file_without_h_exits_2(tmp_path, capsys):
+    path = tmp_path / "act.json"
+    path.write_text(json.dumps({"n": 2, "g": {"kind": "affine", "slope": "2"}}))
+    assert cli.main(["rigidity", "solve", "--action-file", str(path)]) == 2
+    assert "missing field 'h'" in capsys.readouterr().err
+
+
+def test_action_file_that_is_not_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "act.json"
+    path.write_text("{'n': 2,")
+    assert cli.main(["rigidity", "detect", "--action-file", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err

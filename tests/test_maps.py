@@ -12,8 +12,9 @@ from lineactions.errors import ConstructionError, PreconditionError
 from lineactions.maps import (DEFAULT_INVERSE_WIDTH, FLOAT_INVERSE_WIDTH, AffineMap,
                               Enclosure, HermitePiece, TranslateConjugate, TrigPolyLift,
                               build_theta, compose, decimal_down, decimal_up,
-                              fourier_smooth, from_grid, from_knots, from_spec,
-                              identity, invert, iterate, sine_lift)
+                              fixed_points, fourier_smooth, from_grid, from_knots,
+                              from_spec, identity, invert, iterate, relation_residual,
+                              sine_lift)
 
 rationals = st.fractions(min_value=-2, max_value=2, max_denominator=997)
 floats = st.floats(min_value=-2, max_value=2)
@@ -450,19 +451,6 @@ def test_fourier_smooth_tracks_theta():
     assert err < 1e-2
 
 
-def test_fourier_truncation_kernel():
-    th2 = build_theta(2)
-    # raw truncation keeps ringing: not certifiably monotone at low degree,
-    # monotone and very accurate at high degree
-    with pytest.raises(ConstructionError):
-        fourier_smooth(th2, 2, 64, kernel="truncate")
-    smooth = fourier_smooth(th2, 2, 4096, kernel="truncate")
-    assert smooth.monotonicity_margin() > 0
-    err = max(abs(smooth.eval_float(i / 257) - th2.eval_float(i / 257))
-              for i in range(258))
-    assert err < 1e-5
-
-
 def test_spec_roundtrip_and_json():
     th = build_theta(3)
     trees = [
@@ -486,3 +474,46 @@ def test_decimal_rounding_directions():
     assert decimal_down(F(-1, 3)).endswith("4")
     assert decimal_down(F(1, 2)) == "0.5" == decimal_up(F(1, 2))
     assert decimal_down(F(0)) == "0"
+
+
+def test_integer_endpoints_are_labelled_exact():
+    enc = Enclosure.point(3)
+    assert enc.exact and enc.to_json()["rounding"] == "exact"
+    assert Enclosure(1, 2).to_json()["rounding"] == "outward-rational"
+
+
+def test_fixed_points_brackets():
+    th2 = build_theta(2)
+    # grid zero, then a midpoint zero, and nothing where f(x) - x keeps its sign
+    assert fixed_points(AffineMap(2, 0), [-1.0, 0.0, 1.0]) == [(0.0, 0.0)]
+    assert fixed_points(AffineMap(2, 0), [-1.0, 1.0]) == [(0.0, 0.0)]
+    assert fixed_points(AffineMap(1, 1), np.linspace(-5, 5, 11)) == []
+    # Theta_2's three fixed points near 0, left to right; away from 0 each
+    # sign change is bisected down to adjacent floats
+    brackets = fixed_points(th2, np.linspace(-1.5, 0.5, 41))
+    assert len(brackets) == 3 and brackets == sorted(brackets)
+    for lo, hi in brackets[::2]:
+        assert hi == math.nextafter(lo, 1.0)
+        assert (th2.eval_float(lo) - lo) * (th2.eval_float(hi) - hi) < 0
+
+
+def test_relation_residual_samples_the_bs_relation():
+    g, h, xs = AffineMap(2, 0), AffineMap(1, 1), np.linspace(-3, 3, 7)
+    assert relation_residual(g, h, 1, 2, xs) == 0.0
+    assert relation_residual(g, h, 1, 3, xs) == 1.0
+    assert relation_residual(AffineMap(3, 0), h, 2, 6, xs) == 0.0
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "theta"}, "missing field 'j'"),
+    ({"kind": "affine", "slope": "abc"}, "bad field 'slope'"),
+    ({"kind": "affine", "slope": "1/0"}, "bad field 'slope'"),
+    ({"kind": "trigpoly", "degree": 1, "sin": ["x"]}, "bad field 'sin'"),
+    ({"kind": "knots", "degree": 1, "points": [[0]]}, "bad field 'points'"),
+    ({"kind": "compose", "of": [{"kind": "inverse"}]}, "missing field 'of'"),
+    ({"slope": 2}, "missing field 'kind'"),
+    ([1, 2], "expected a JSON object"),
+])
+def test_malformed_spec_names_the_field(spec, field):
+    with pytest.raises(PreconditionError, match=field):
+        from_spec(spec)

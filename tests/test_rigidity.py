@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def test_escape_guard_when_h_does_not_move_points():
 def test_divergence_verdict_when_starved_of_iterations():
     g, h, _ = conjugated_standard()
     res = solve_conjugacy(g, h, 2, window=5.0, grid_step=1e-2, tol=1e-12,
-                          max_iters=3, detect_on_failure=False)
+                          max_iters=3)
     assert res.verdict == "diverged"
 
 
@@ -104,6 +105,35 @@ def test_detect_inconclusive_without_fixed_points():
     h = AffineMap(1, 1)
     with pytest.raises(InconclusiveError, match="no fixed point"):
         detect_nonstandard(g, h, 2, window=3.0)
+
+
+# detect_nonstandard's fixed points of Theta_n, pinned bit for bit
+THETA_FIXED_POINTS = {
+    (2, F(1, 10)): ("-0x1.d8be0db562778p-1", "0x1.ffffffffffffap-62", "0x1.c1978fc1c4cb4p-5"),
+    (2, F(1, 8)): ("-0x1.cea870927fcc4p-1", "0x0.0p+0", "0x1.1c20c953ef566p-4"),
+    (2, F(1, 6)): ("-0x1.bd9b8939f2fc8p-1", "0x0.0p+0", "0x1.8105fb28879eep-4"),
+    (3, F(1, 10)): ("-0x1.d604c364c0a08p-1", "0x1.ffffffffffffap-62", "0x1.b99a4c259d94cp-5"),
+    (3, F(1, 8)): ("-0x1.cb4e7740b039ep-1", "0x0.0p+0", "0x1.166f6bec85b48p-4"),
+    (3, F(1, 6)): ("-0x1.b941ff8cb4928p-1", "0x0.0p+0", "0x1.7800243f187c4p-4"),
+    (4, F(1, 10)): ("-0x1.d49026e233ce4p-1", "0x1.ffffffffffffap-62", "0x1.b5011951eed0ep-5"),
+    (4, F(1, 8)): ("-0x1.c9847a572608ep-1", "0x0.0p+0", "0x1.132d9bc5279f8p-4"),
+    (4, F(1, 6)): ("-0x1.b6f0c0438b5aap-1", "0x0.0p+0", "0x1.72e32c754efccp-4"),
+}
+
+
+@pytest.mark.parametrize("n, a", sorted(THETA_FIXED_POINTS))
+def test_detect_fixed_points_are_pinned(n, a):
+    report = detect_nonstandard(build_theta(n, a), AffineMap(1, 1), n)
+    assert tuple(fp["x"].hex() for fp in report["fixed_points"]) == THETA_FIXED_POINTS[n, a]
+    assert [fp["type"] for fp in report["fixed_points"]] == ["repelling", "attracting",
+                                                             "repelling"]
+
+
+def test_fixed_point_outside_the_window_cannot_be_normalized():
+    # g = 2x + 10 satisfies the relation with h = x + 1 and expands, but its
+    # fixed point -10 lies outside [-3, 3]
+    with pytest.raises(PreconditionError, match="cannot normalize the fixed point"):
+        solve_conjugacy(AffineMap(2, 10), AffineMap(1, 1), 2, window=3.0)
 
 
 def test_result_serialization_and_csv():
