@@ -94,6 +94,14 @@ def rigid_rotation(angle) -> MonotoneRealMap:
 
 @dataclass(frozen=True)
 class TranslationEstimate:
+    """A translation number estimate (F^N(x0) - x0)/N and its bracket.
+
+    error_bound is the a-priori 2/N, which holds for the exact orbit.  The
+    orbit is iterated in floats and the bound has no term for the rounding
+    of each step, so it is not a rigorous bracket of tau(F) around the
+    reported estimate.
+    """
+
     estimate: float
     error_bound: float
     iters: int
@@ -112,8 +120,10 @@ def translation_number_estimate(F: MonotoneRealMap, x0: Num = 0, iters: int = 10
                                 richardson: bool = False) -> TranslationEstimate:
     """(F^N(x0) - x0)/N with the a-priori bracket 2/N around tau(F).
 
-    Degree must be 1.  The optional Richardson field extrapolates from the
-    half-orbit estimate; it carries no guaranteed bound.
+    Degree must be 1.  The bracket assumes exact iteration: the orbit is
+    computed in floats, and error_bound does not cover the rounding of
+    each of the N steps.  The optional Richardson field extrapolates from
+    the half-orbit estimate; it carries no guaranteed bound.
     """
     if iters < 1:
         raise PreconditionError("need at least one iterate")

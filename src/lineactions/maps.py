@@ -27,8 +27,15 @@ float evaluations and a rigorous enclosure evaluation:
 
 Trig-polynomial leaves have float coefficients: they round any input
 outward to floats and return padded float enclosures, so a path through one
-continues in outward-rounded floats; their float inverse is Newton's method
-from the affine guess, one cos/sin pass per step (see TrigPolyLift).
+continues in outward-rounded floats.  Their float inverse is Newton's method
+from the affine guess, one cos/sin pass per step, in a one-period bracket
+read off equivariance, F(k) = F(0) + degree*k, with no forward evaluation;
+the array forms of F and of the inverse share one series kernel, which
+gives F and F' in one matrix product (see TrigPolyLift).
+
+A point enclosure [q, q] maps or inverts q once at a rational leaf, and
+maps a float q once at a trig-polynomial leaf; both ends are read off that
+one result.
 
 Two functions on trees serve the BS(m, n) lifts g with h(x) = x + 1:
 ``fixed_points(f, xs)`` brackets the fixed points of f on a grid (one
@@ -73,9 +80,15 @@ class TrigPolyLift(MapTree):
     coefficient sums.
 
     The float inverse is Newton's method, safeguarded by bisection, in the
-    one-period bracket that equivariance gives.  It starts from the affine guess
-    (y - a0)/degree when that lies inside the bracket, else from its midpoint,
-    and each step takes F and F' from one cos/sin pass (_value_slope).
+    one-period bracket [k, k + 1] with F(k) <= y <= F(k + 1).  Equivariance
+    gives F(k) = F(0) + degree*k, so the bracket costs no evaluation of F.
+    Newton starts from the affine guess (y - a0)/degree when that lies
+    inside the bracket, else from its midpoint, and stops when
+    |F(x) - y| <= 1e-14 max(1, |y|), when the bracket is narrower than
+    FLOAT_INVERSE_WIDTH max(1, |x|), or after 80 steps.  Each scalar step
+    takes F and F' from one cos/sin pass (_value_slope); the array forms,
+    eval_array and invert_array, share one kernel (_series) that gives F
+    and F' at a block of points by one matrix product.
     """
 
     def __init__(self, degree: int, a0: float = 0.0,
@@ -95,6 +108,10 @@ class TrigPolyLift(MapTree):
         ac, bs = np.array(self.cos_coeffs), np.array(self.sin_coeffs)
         self._wk, self._ac, self._bs = wk, ac, bs
         self._aw, self._bw = ac * wk, bs * wk
+        # columns: the weights of _periodic - a0 and of F' - degree in the
+        # table [cos | sin] of _series
+        self._weights = np.column_stack((np.concatenate((ac, bs)),
+                                         np.concatenate((self._bw, -self._aw))))
         self._terms = list(zip(wk.tolist(), self.cos_coeffs, self.sin_coeffs))
         self._spectral = n > 8
         # error model of eval_float, for _pad
@@ -162,21 +179,24 @@ class TrigPolyLift(MapTree):
             d += w * (b * c - a * sn)
         return s, d
 
-    def _series(self, xs: np.ndarray, *weights) -> np.ndarray:
-        """Row j: sum_k cw_k cos(2 pi k x) + sw_k sin(2 pi k x) at each x in xs,
-        for the j-th pair (cw, sw) of weights; blocks of rows keep every
-        temporary under _BLOCK elements."""
-        out = np.empty((len(weights), len(xs)))
-        rows = max(1, _BLOCK // max(1, len(self._wk)))
+    def _series(self, xs: np.ndarray) -> np.ndarray:
+        """Rows (_periodic(x) - a0, F'(x) - degree) at each x in xs: the table
+        [cos(2 pi k x) | sin(2 pi k x)] of a block of rows times _weights, one
+        matrix product per block; blocks keep the table under _BLOCK elements."""
+        n = len(self._wk)
+        rows = max(1, _BLOCK // max(1, 2 * n))
+        table = np.empty((min(rows, len(xs)), 2 * n))
+        out = np.empty((len(xs), 2))
         for s in range(0, len(xs), rows):
             phases = np.multiply.outer(xs[s:s + rows], self._wk)
-            cos, sin = np.cos(phases), np.sin(phases)
-            for j, (cw, sw) in enumerate(weights):
-                out[j, s:s + rows] = (cos * cw).sum(1) + (sin * sw).sum(1)
-        return out
+            block = table[:len(phases)]
+            np.cos(phases, out=block[:, :n])
+            np.sin(phases, out=block[:, n:])
+            out[s:s + rows] = block @ self._weights
+        return out.T
 
     def eval_array(self, xs):
-        return self.degree * xs + (self.a0 + self._series(xs, (self._ac, self._bs))[0])
+        return self.degree * xs + (self.a0 + self._series(xs)[0])
 
     # least pad of the enclosure, kept as the floor of the derived pad
     _PAD = 1e-12
@@ -199,29 +219,32 @@ class TrigPolyLift(MapTree):
 
     def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
         lo, hi = _float_down(enc.lo), _float_up(enc.hi)
-        return Enclosure(self.eval_float(lo) - self._pad(lo),
-                         self.eval_float(hi) + self._pad(hi))
+        f_lo = self.eval_float(lo)
+        f_hi = f_lo if hi == lo else self.eval_float(hi)
+        return Enclosure(f_lo - self._pad(lo), f_hi + self._pad(hi))
 
     def invert_float(self, y: float) -> float:
-        # equivariance gives a one-period bracket: F(k) <= y < F(k+1)
-        k = math.floor((y - self._f0) / self.degree)
-        a, b = float(k), float(k) + 1.0
-        while self.eval_float(a) > y:
-            a, b = a - 1.0, a
-        while self.eval_float(b) < y:
-            a, b = b, b + 1.0
-        x = (y - self.a0) / self.degree
+        # the one-period bracket F(a) <= y <= F(a + 1), F(a) = F(0) + degree*a
+        deg, f0 = self.degree, self._f0
+        a = math.floor((y - f0) / deg)
+        while f0 + deg * a > y:
+            a -= 1
+        while f0 + deg * (a + 1) < y:
+            a += 1
+        a, b = float(a), float(a + 1)
+        tol = 1e-14 * max(1.0, abs(y))
+        x = (y - self.a0) / deg
         x = x if a < x < b else a + (b - a) * 0.5
         for _ in range(80):
             per, slope = self._value_slope(x)
-            fx = self.degree * x + per - y
-            if abs(fx) <= 1e-14 * max(1.0, abs(y)):
+            fx = deg * x + per - y
+            if abs(fx) <= tol:
                 return x
             if fx < 0:
                 a = x
             else:
                 b = x
-            d = self.degree + slope
+            d = deg + slope
             xn = x - fx / d if d > 0 else 0.5 * (a + b)
             if not (a < xn < b):
                 xn = 0.5 * (a + b)
@@ -233,34 +256,30 @@ class TrigPolyLift(MapTree):
     def invert_array(self, ys: np.ndarray) -> np.ndarray:
         """invert_float at each element: the same bracket, start, Newton step
         and stopping tests, run on arrays; an element is frozen once it stops."""
-        a = np.floor((ys - self._f0) / self.degree)
+        deg, f0 = self.degree, self._f0
+        a = np.floor((ys - f0) / deg)
+        while (over := f0 + deg * a > ys).any():
+            a[over] -= 1.0
+        while (under := f0 + deg * (a + 1.0) < ys).any():
+            a[under] += 1.0
         b = a + 1.0
-        todo = np.flatnonzero(self.eval_array(a) > ys)
-        while todo.size:
-            b[todo] = a[todo]
-            a[todo] -= 1.0
-            todo = todo[self.eval_array(a[todo]) > ys[todo]]
-        todo = np.flatnonzero(self.eval_array(b) < ys)
-        while todo.size:
-            a[todo] = b[todo]
-            b[todo] += 1.0
-            todo = todo[self.eval_array(b[todo]) < ys[todo]]
-        x = (ys - self.a0) / self.degree
+        tol = 1e-14 * np.maximum(1.0, np.abs(ys))
+        x = (ys - self.a0) / deg
         x = np.where((a < x) & (x < b), x, a + (b - a) * 0.5)
         todo = np.arange(len(ys))
         for _ in range(80):
             if not todo.size:
                 break
-            xt, yt = x[todo], ys[todo]
-            per, slope = self._series(xt, (self._ac, self._bs), (self._bw, -self._aw))
-            fx = self.degree * xt + (self.a0 + per) - yt
-            going = np.abs(fx) > 1e-14 * np.maximum(1.0, np.abs(yt))
-            todo, xt, fx, d = todo[going], xt[going], fx[going], self.degree + slope[going]
+            xt = x[todo]
+            per, slope = self._series(xt)
+            fx = deg * xt + (self.a0 + per) - ys[todo]
+            going = np.abs(fx) > tol[todo]
+            todo, xt, fx, d = todo[going], xt[going], fx[going], deg + slope[going]
             at, bt = np.where(fx < 0, xt, a[todo]), np.where(fx < 0, b[todo], xt)
             a[todo], b[todo] = at, bt
             mid = 0.5 * (at + bt)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xn = np.where(d > 0, xt - fx / d, mid)
+            newton = d > 0
+            xn = np.where(newton, xt - fx / np.where(newton, d, 1.0), mid)
             xn = np.where((at < xn) & (xn < bt), xn, mid)
             x[todo] = xn
             todo = todo[bt - at > FLOAT_INVERSE_WIDTH * np.maximum(1.0, np.abs(xn))]
@@ -331,8 +350,9 @@ class Inverse(MapTree):
             if isinstance(enc.lo, float):
                 inverse_width = Fraction(1, 2**52)
             lo, hi = enc.rational_ends
-            return _image(enc, inner.invert_exact(lo, inverse_width)[0],
-                          inner.invert_exact(hi, inverse_width)[1])
+            lo_end = inner.invert_exact(lo, inverse_width)
+            hi_end = lo_end if hi == lo else inner.invert_exact(hi, inverse_width)
+            return _image(enc, lo_end[0], hi_end[1])
         return Enclosure(self._proved_end(_float_down(enc.lo), -1.0),
                          self._proved_end(_float_up(enc.hi), 1.0))
 

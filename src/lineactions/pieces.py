@@ -9,7 +9,8 @@ import them from there.
 An enclosure is exact when its endpoints are one rational; nothing else
 records exactness.  The pieces are exact rationals only: each
 FundamentalDomainMap converts its pieces' coefficients once into one float
-table, which both its scalar and its array float evaluations read.
+table, which both its scalar and its array float evaluations read.  A point
+enclosure [q, q] is evaluated once, and both ends are read off that value.
 
 The degree-j covering lift Theta_j is built here: slope a/2 through the
 origin, slope a/2 affine ramp reaching j near 1, and a monotone cubic
@@ -379,7 +380,8 @@ class FundamentalDomainMap(MapTree):
 
     def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
         lo, hi = enc.rational_ends
-        return _image(enc, self.eval_exact_point(lo), self.eval_exact_point(hi))
+        value_lo = self.eval_exact_point(lo)
+        return _image(enc, value_lo, value_lo if hi == lo else self.eval_exact_point(hi))
 
     def invert_exact(self, y: Rat, width: Fraction) -> tuple[Rat, Rat]:
         """(lo, hi) enclosing F^{-1}(y): lo == hi on affine pieces, the

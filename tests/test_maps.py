@@ -15,6 +15,7 @@ from lineactions.maps import (DEFAULT_INVERSE_WIDTH, FLOAT_INVERSE_WIDTH, Affine
                               fixed_points, fourier_smooth, from_grid, from_knots,
                               from_spec, identity, invert, iterate, relation_residual,
                               sine_lift)
+from lineactions.pieces import _image
 
 rationals = st.fractions(min_value=-2, max_value=2, max_denominator=997)
 floats = st.floats(min_value=-2, max_value=2)
@@ -201,7 +202,11 @@ def test_sine_lift_enclosure_contains_true_value(x, xf):
 
 @pytest.fixture(scope="module")
 def trig_lifts():
-    return {"sine": sine_lift("1/100"), "fejer theta_3": fourier_smooth(TH3, 3, 256)}
+    return {"sine": sine_lift("1/100"), "sine 1/20": sine_lift("1/20"),
+            "fejer theta_2": fourier_smooth(TH2, 2, 256),
+            "fejer theta_3": fourier_smooth(TH3, 3, 256),
+            "fejer theta_2 (8)": fourier_smooth(TH2, 2, 8),
+            "fejer theta_3 (8)": fourier_smooth(TH3, 3, 8)}
 
 
 LARGE = [98765.4321, -100000.3, 3000000.123, -2999999.77]
@@ -278,6 +283,76 @@ def test_newton_from_the_midpoint(harmonics, x0):
     _assert_newton_stopped(lift, y, float(lift.invert_array(np.array([y]))[0]))
 
 
+def _bracket_edges(lift):
+    """F(0) + degree*k, where the one-period bracket of the inverse changes,
+    and its two float neighbours, for k in [-50, 50] and out to |y| = 1e6."""
+    ks = list(range(-50, 51)) + [s * k for s in (1, -1)
+                                 for k in (10**3, 10**5, 10**6 // lift.degree)]
+    edges = [lift._f0 + lift.degree * k for k in ks]
+    return [z for y in edges
+            for z in (math.nextafter(y, -math.inf), y, math.nextafter(y, math.inf))]
+
+
+@pytest.mark.parametrize("name", ["sine", "sine 1/20", "fejer theta_2", "fejer theta_3",
+                                  "fejer theta_2 (8)", "fejer theta_3 (8)"])
+def test_newton_at_the_bracket_edges(trig_lifts, name):
+    # the bracket is read off F(0) + degree*k, which may differ from the
+    # float F(k) by rounding, so y at an edge may sit just outside it
+    lift = trig_lifts[name]
+    ys = _bracket_edges(lift)
+    for y, x in zip(ys, lift.invert_array(np.array(ys))):
+        _assert_newton_stopped(lift, y, lift.invert_float(y))
+        _assert_newton_stopped(lift, y, float(x))
+
+
+def _forbidden(*args):
+    raise AssertionError("the trig inverse evaluated F outside its Newton steps")
+
+
+@pytest.mark.parametrize("name", ["sine", "fejer theta_3", "fejer theta_2 (8)"])
+def test_trig_inverse_bracket_needs_no_forward_evaluation(trig_lifts, name, monkeypatch):
+    lift = trig_lifts[name]
+    ys = [0.3, -2.71, 17.25, 12345.678, lift._f0 + 4 * lift.degree]
+    want_float = [lift.invert_float(y) for y in ys]
+    want_array = lift.invert_array(np.array(ys))
+    monkeypatch.setattr(lift, "eval_float", _forbidden)
+    monkeypatch.setattr(lift, "eval_array", _forbidden)
+    assert [lift.invert_float(y) for y in ys] == want_float
+    assert np.array_equal(lift.invert_array(np.array(ys)), want_array)
+
+
+# invert_float away from every bracket edge, recorded while the bracket was
+# still found by evaluating F at the integers; reading it off equivariance
+# moves no bit there
+INVERSE_HEX = {
+    ("sine", 0.3): "0x1.29496e0b377fap-2",
+    ("sine", -2.71): "-0x1.5c231626e2543p+1",
+    ("sine", 17.25): "0x1.13d71ed99aef0p+4",
+    ("sine", 12345.678): "0x1.81cd7f73ac2d5p+13",
+    ("sine", -98765.4321): "-0x1.81cd6d7e92d21p+16",
+    ("fejer theta_2 (8)", 0.3): "0x1.bde161fadf4a2p-6",
+    ("fejer theta_2 (8)", -2.71): "-0x1.e7fbf57a7d7adp+0",
+    ("fejer theta_2 (8)", 17.25): "0x1.02ebb7a4d6609p+3",
+    ("fejer theta_2 (8)", 12345.678): "0x1.81c2003fd83b6p+12",
+    ("fejer theta_2 (8)", -98765.4321): "-0x1.81cde69f582dep+15",
+    ("fejer theta_3 (8)", 0.3): "0x1.ca0bc86e55618p-7",
+    ("fejer theta_3 (8)", -2.71): "-0x1.f9699e2077c50p-1",
+    ("fejer theta_3 (8)", 17.25): "0x1.46e45d8f67132p+2",
+    ("fejer theta_3 (8)", 12345.678): "0x1.0130a70c04956p+12",
+    ("fejer theta_3 (8)", -98765.4321): "-0x1.0133ee42b43cdp+15",
+    ("fejer theta_3", 0.3): "0x1.e46aaa24e5a55p-5",
+    ("fejer theta_3", -2.71): "-0x1.e1d306d84c067p-1",
+    ("fejer theta_3", 17.25): "0x1.45677be2897ebp+2",
+    ("fejer theta_3", 12345.678): "0x1.01310adfdf85ap+12",
+    ("fejer theta_3", -98765.4321): "-0x1.0133df715dab9p+15",
+}
+
+
+@pytest.mark.parametrize("name, y", INVERSE_HEX)
+def test_trig_inverse_bits_away_from_the_edges(trig_lifts, name, y):
+    assert trig_lifts[name].invert_float(y).hex() == INVERSE_HEX[name, y]
+
+
 KNOTS = from_knots([(F(-1, 3), F(-1, 5)), (F(1, 4), F(1, 2)), (F(1, 2), F(3, 5))], 1)
 SMALL_TRIG = TrigPolyLift(1, 0.01, (0.01, -0.005), (0.02, 0.003))
 BIG_TRIG = fourier_smooth(build_theta(2), 2, 16)
@@ -331,6 +406,46 @@ def test_interval_soundness_through_inverse():
         x = F(rng.randint(250, 750), 1000)
         v = g.eval_enclosure(Enclosure.point(x))
         assert hull.lo <= v.lo and v.hi <= hull.hi
+
+
+def _count_calls(monkeypatch, obj, name) -> list:
+    """Wrap obj.name so that each call appends its arguments to the list returned."""
+    method, calls = getattr(obj, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return method(*args)
+
+    monkeypatch.setattr(obj, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["theta", "knots", "inverse theta"])
+@pytest.mark.parametrize("point", [F(7, 100), F(-22, 7), F(1), F(299, 100), 0.3, 1000.07])
+def test_point_enclosure_evaluates_the_leaf_once(monkeypatch, kind, point):
+    tree = ARRAY_TREES[kind][0]
+    enc, q = Enclosure.point(point), F(point)
+    # the value of evaluating each end on its own
+    if kind == "inverse theta":
+        leaf, name = tree.inner, "invert_exact"
+        width = F(1, 2**52) if isinstance(point, float) else DEFAULT_INVERSE_WIDTH
+        want = _image(enc, leaf.invert_exact(q, width)[0], leaf.invert_exact(q, width)[1])
+    else:
+        leaf, name = tree, "eval_exact_point"
+        want = _image(enc, leaf.eval_exact_point(q), leaf.eval_exact_point(q))
+    calls = _count_calls(monkeypatch, leaf, name)
+    got = tree.eval_enclosure(enc)
+    assert len(calls) == 1
+    assert got == want and type(got.lo) is type(want.lo)
+
+
+@pytest.mark.parametrize("x", [0.3, -2.71, 98765.4321])
+def test_trig_point_enclosure_evaluates_once(monkeypatch, x):
+    lift = SMALL_TRIG
+    want = Enclosure(lift.eval_float(x) - lift._pad(x), lift.eval_float(x) + lift._pad(x))
+    calls = _count_calls(monkeypatch, lift, "eval_float")
+    assert lift.eval_enclosure(Enclosure.point(x)) == want
+    assert len(calls) == 1
 
 
 def test_degree_multiplies_under_composition():
