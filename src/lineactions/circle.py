@@ -99,7 +99,7 @@ class TranslationEstimate:
     error_bound is the a-priori 2/N, which holds for the exact orbit.  The
     orbit is iterated in floats and the bound has no term for the rounding
     of each step, so it is not a rigorous bracket of tau(F) around the
-    reported estimate.
+    reported estimate; to_json says so in error_bound_covers_rounding.
     """
 
     estimate: float
@@ -110,7 +110,8 @@ class TranslationEstimate:
 
     def to_json(self) -> dict:
         out = {"estimate": repr(self.estimate), "error_bound": repr(self.error_bound),
-               "iters": self.iters, "x0": repr(self.x0)}
+               "error_bound_covers_rounding": False, "iters": self.iters,
+               "x0": repr(self.x0)}
         if self.richardson is not None:
             out["richardson"] = repr(self.richardson)
         return out

@@ -20,8 +20,10 @@ float evaluations and a rigorous enclosure evaluation:
 
   - Fraction (or int) endpoints: rational leaves evaluate exactly; inverting
     a cubic join piece yields a rational enclosure of prescribed width by
-    monotone bisection.  ``Enclosure.exact`` reads exactness off the result
-    (rational lo == hi): it holds when no cubic inverse was on the path.
+    monotone bisection, one shared by both ends of an interval until a
+    midpoint value falls between them.  ``Enclosure.exact`` reads exactness
+    off the result (rational lo == hi): it holds when no cubic inverse was
+    on the path.
   - float endpoints: rational leaves compute exactly from the endpoints and
     round the result outward to floats.
 
@@ -75,9 +77,10 @@ class TrigPolyLift(MapTree):
 
     Float-only leaf (coefficients are floats); used by the Fourier smoothing
     path and for sine perturbations of the identity.  Monotonicity is
-    certified by a dense derivative minimum (spectral evaluation for large
-    coefficient lists) minus a second-derivative Lipschitz guard from the
-    coefficient sums.
+    checked, not proved: the minimum of float FFT samples of F' minus a
+    second-derivative Lipschitz guard from the coefficient sums must be
+    positive, and neither figure has a term for float rounding (see
+    monotonicity_margin and ROADMAP.md, Direction 3(b)).
 
     The float inverse is Newton's method, safeguarded by bisection, in the
     one-period bracket [k, k + 1] with F(k) <= y <= F(k + 1).  Equivariance
@@ -126,11 +129,14 @@ class TrigPolyLift(MapTree):
         self._f0 = self.eval_float(0.0)
 
     def monotonicity_margin(self) -> float:
-        """Certified lower bound for F' over a period (cached).
+        """Estimated lower bound for F' over a period (cached).
 
-        Dense derivative samples (spectral evaluation on a grid with at least
-        eight points per harmonic) minus the Lipschitz guard
-        max|F''| * step / 2 with max|F''| bounded by coefficient sums.
+        The minimum of dense float derivative samples (an FFT on a grid with
+        at least eight points per harmonic) minus the Lipschitz guard
+        max|F''| * step / 2, with max|F''| bounded by a float coefficient
+        sum.  It bounds F' from below in exact arithmetic only: no term
+        covers the rounding of the FFT or of the sum, so it is not a
+        certificate (ROADMAP.md, Direction 3(b)).
         """
         if self._deriv_min is not None:
             return self._deriv_min
@@ -349,10 +355,7 @@ class Inverse(MapTree):
         if isinstance(inner, FundamentalDomainMap):
             if isinstance(enc.lo, float):
                 inverse_width = Fraction(1, 2**52)
-            lo, hi = enc.rational_ends
-            lo_end = inner.invert_exact(lo, inverse_width)
-            hi_end = lo_end if hi == lo else inner.invert_exact(hi, inverse_width)
-            return _image(enc, lo_end[0], hi_end[1])
+            return _image(enc, *inner.invert_exact(*enc.rational_ends, inverse_width))
         return Enclosure(self._proved_end(_float_down(enc.lo), -1.0),
                          self._proved_end(_float_up(enc.hi), 1.0))
 

@@ -11,6 +11,9 @@ records exactness.  The pieces are exact rationals only: each
 FundamentalDomainMap converts its pieces' coefficients once into one float
 table, which both its scalar and its array float evaluations read.  A point
 enclosure [q, q] is evaluated once, and both ends are read off that value.
+An interval pulled back through a cubic piece shares one exact bisection
+between its two ends, which splits only at the midpoint whose value falls
+between them; it visits the midpoints that a bisection per end would.
 
 The degree-j covering lift Theta_j is built here: slope a/2 through the
 origin, slope a/2 affine ramp reaching j near 1, and a monotone cubic
@@ -191,7 +194,9 @@ class HermitePiece:
     """Monotone cubic Hermite on [lo, hi] with rational endpoint values/slopes.
 
     Monotonicity is certified at construction by the Fritsch-Carlson
-    sufficient condition: both endpoint slopes in (0, 3*secant].
+    sufficient condition: both endpoint slopes in (0, 3*secant].  The inverse
+    of an interval [y_lo, y_hi] is one bisection shared by both ends until
+    they part (invert_enclosure).
     """
 
     __slots__ = ("lo", "hi", "value_lo", "value_hi", "slope_lo", "slope_hi", "coeffs")
@@ -220,16 +225,32 @@ class HermitePiece:
         u = x - self.lo
         return c0 + u * (c1 + u * (c2 + u * c3))
 
-    def invert_enclosure(self, y: Rat, width: Fraction) -> tuple[Rat, Rat]:
-        """[a, b] with eval(a) <= y <= eval(b) and b - a <= width, by bisection."""
-        a, b = self.lo, self.hi
-        while b - a > width:
-            m = (a + b) / 2
-            if self.eval(m) <= y:
-                a = m
+    def invert_enclosure(self, y_lo: Rat, y_hi: Rat, width: Fraction) -> tuple[Rat, Rat]:
+        """(a, b) with eval(a) <= y_lo <= y_hi <= eval(b), clamped to the piece:
+        a is the lower end of the bisection bracket of y_lo, b the upper end
+        of that of y_hi, each of width at most width.
+
+        Both ends share one bisection while each midpoint value sends them the
+        same way.  At the first midpoint m with y_lo < F(m) <= y_hi they part,
+        and each finishes alone, y_lo in [a, m] and y_hi in [m, b].  Every
+        midpoint and comparison is the one that a bisection per end makes; a
+        point (y_lo == y_hi) never parts."""
+        brackets, ends = [(self.lo, self.hi, y_lo, y_hi)], []
+        while brackets:
+            a, b, y_lo, y_hi = brackets.pop()
+            while b - a > width:
+                m = (a + b) / 2
+                v = self.eval(m)
+                if v <= y_lo:
+                    a = m
+                elif v > y_hi:
+                    b = m
+                else:  # the ends part at m; the run of y_lo pops first
+                    brackets += [(m, b, y_hi, y_hi), (a, m, y_lo, y_lo)]
+                    break
             else:
-                b = m
-        return a, b
+                ends.append((a, b))
+        return ends[0][0], ends[-1][1]
 
     def piece_spec(self) -> dict:
         return {"kind": "hermite", "lo": rat_str(self.lo), "hi": rat_str(self.hi),
@@ -383,21 +404,30 @@ class FundamentalDomainMap(MapTree):
         value_lo = self.eval_exact_point(lo)
         return _image(enc, value_lo, value_lo if hi == lo else self.eval_exact_point(hi))
 
-    def invert_exact(self, y: Rat, width: Fraction) -> tuple[Rat, Rat]:
-        """(lo, hi) enclosing F^{-1}(y): lo == hi on affine pieces, the
-        bisection bracket, of width at most width (> 0), on cubic ones."""
-        if not width > 0:
-            raise PreconditionError(f"inverse width must be positive, got {width}")
+    def _locate(self, y: Rat) -> tuple[int, Rat, Piece]:
+        """(k, yr, piece) with y = yr + degree k and yr among the piece's values."""
         k = math.floor((y - self.value_lo) / self.degree)
         yr = y - self.degree * k
         if yr == self.value_lo + self.degree:
             k += 1
             yr -= self.degree
-        piece = self.pieces[self._index(self._value_breaks, yr)]
+        return k, yr, self.pieces[self._index(self._value_breaks, yr)]
+
+    def invert_exact(self, y_lo: Rat, y_hi: Rat, width: Fraction) -> tuple[Rat, Rat]:
+        """(lo, hi) enclosing F^{-1}([y_lo, y_hi]), y_lo <= y_hi.  An end on an
+        affine piece inverts exactly; on a cubic piece it takes its side of
+        the bisection bracket, of width at most width (> 0).  Two ends on one
+        cubic piece in one period share one bisection (see
+        HermitePiece.invert_enclosure); ends on different pieces or periods
+        invert one by one."""
+        if not width > 0:
+            raise PreconditionError(f"inverse width must be positive, got {width}")
+        (k, yr_lo, piece), (k_hi, yr_hi, piece_hi) = self._locate(y_lo), self._locate(y_hi)
+        if (k, piece) != (k_hi, piece_hi):
+            return self.invert_exact(y_lo, y_lo, width)[0], self.invert_exact(y_hi, y_hi, width)[1]
         if isinstance(piece, AffinePiece):
-            x = piece.invert(yr)
-            return x + k, x + k
-        a, b = piece.invert_enclosure(yr, width)
+            return piece.invert(yr_lo) + k, piece.invert(yr_hi) + k
+        a, b = piece.invert_enclosure(yr_lo, yr_hi, width)
         return a + k, b + k
 
     def invert_float(self, y: float) -> float:

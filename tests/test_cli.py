@@ -30,6 +30,9 @@ def test_rotnum_from_json_and_csv(tmp_path, capsys):
     code, out = run(capsys, "rotnum", "--map", str(spec), "--iters", "900")
     assert code == 0
     assert abs(float(out["estimate"]) - 1 / 3) < 1e-12
+    # the 2/N bracket assumes exact iteration, and the report says so
+    assert float(out["error_bound"]) == 2 / 900
+    assert out["error_bound_covers_rounding"] is False
     csv = tmp_path / "rot.csv"
     csv.write_text("0,1/4\n1/2,3/4\n1,5/4\n")
     code, out = run(capsys, "rotnum", "--map", str(csv), "--iters", "400")

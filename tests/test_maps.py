@@ -132,13 +132,13 @@ def _point(v):
 # the enclosures they check
 TREE_KINDS = {
     "theta": (TH3, lambda x: _point(TH3.eval_exact_point(x))),
-    "inverse theta": (invert(TH2), lambda x: TH2.invert_exact(x, F(1, 10**40))),
+    "inverse theta": (invert(TH2), lambda x: TH2.invert_exact(x, x, F(1, 10**40))),
     "affine": (AFF, lambda x: _point(F(5, 2) * x - F(1, 3))),
     "translate conjugate": (TranslateConjugate(HALF, TH2),
                             lambda x: _point(TH2.eval_exact_point(x - HALF) + HALF)),
     "compose": (compose(TH3, invert(TH2)),
                 lambda x: tuple(TH3.eval_exact_point(v)
-                                for v in TH2.invert_exact(x, F(1, 10**40)))),
+                                for v in TH2.invert_exact(x, x, F(1, 10**40)))),
 }
 
 
@@ -425,11 +425,11 @@ def _count_calls(monkeypatch, obj, name) -> list:
 def test_point_enclosure_evaluates_the_leaf_once(monkeypatch, kind, point):
     tree = ARRAY_TREES[kind][0]
     enc, q = Enclosure.point(point), F(point)
-    # the value of evaluating each end on its own
+    # the value of evaluating the point at the leaf directly
     if kind == "inverse theta":
         leaf, name = tree.inner, "invert_exact"
         width = F(1, 2**52) if isinstance(point, float) else DEFAULT_INVERSE_WIDTH
-        want = _image(enc, leaf.invert_exact(q, width)[0], leaf.invert_exact(q, width)[1])
+        want = _image(enc, *leaf.invert_exact(q, q, width))
     else:
         leaf, name = tree, "eval_exact_point"
         want = _image(enc, leaf.eval_exact_point(q), leaf.eval_exact_point(q))
@@ -492,7 +492,7 @@ def test_hermite_inversion_contract(piece, width, t, hit):
     width = h if width == "h" else width
     y = (piece.eval(piece.lo + hit * h / 64) if hit else
          piece.value_lo + t * (piece.value_hi - piece.value_lo))
-    a, b = piece.invert_enclosure(y, width)
+    a, b = piece.invert_enclosure(y, y, width)
     # the fewest halvings of [lo, hi] that reach the width: b - a = h / 2^N
     halvings = h / (b - a)
     assert halvings.denominator == 1 and halvings.numerator & (halvings.numerator - 1) == 0
@@ -514,6 +514,76 @@ def test_hermite_inversion_contract(piece, width, t, hit):
         assert b == piece.hi
 
 
+def _bisect(piece, y, width):
+    """One-end reference: the bisection bracket (a, b) of y in the piece and
+    the midpoints visited on the way."""
+    a, b, visited = piece.lo, piece.hi, []
+    while b - a > width:
+        m = (a + b) / 2
+        visited.append(m)
+        if piece.eval(m) <= y:
+            a = m
+        else:
+            b = m
+    return a, b, visited
+
+
+@given(piece=st.sampled_from(HERMITE_PIECES), width=st.sampled_from(HERMITE_WIDTHS),
+       t=st.one_of(st.sampled_from([F(0), F(1), F(-3), F(4)]),
+                   st.integers(-10**39, 11 * 10**39).map(lambda n: F(n, 10**40))),
+       gap=st.one_of(st.sampled_from([F(0), F(1, 10**45), F(1, 10**30), F(5)]),
+                     st.integers(0, 10**40).map(lambda n: F(n, 10**40))),
+       grid=st.none() | st.fractions(0, 1))
+@settings(max_examples=150, deadline=None)
+def test_two_ended_inversion_is_one_bisection_per_end(piece, width, t, gap, grid):
+    # y_lo = value_lo + t (value_hi - value_lo), inside the range, at its ends
+    # or outside it, and y_hi = y_lo + gap; or, with grid, F at two adjacent
+    # points of the finest grid the bisection reaches
+    h = piece.hi - piece.lo
+    width = h if width == "h" else width
+    if grid is None:
+        y_lo = piece.value_lo + t * (piece.value_hi - piece.value_lo)
+        y_hi = y_lo + gap
+    else:
+        step = h
+        while step > width:
+            step /= 2
+        k = math.floor(grid * (h / step - 1))
+        y_lo, y_hi = (piece.eval(piece.lo + i * step) for i in (k, k + 1))
+    want = _bisect(piece, y_lo, width)[0], _bisect(piece, y_hi, width)[1]
+    assert piece.invert_enclosure(y_lo, y_hi, width) == want
+
+
+@pytest.mark.parametrize("width", [DEFAULT_INVERSE_WIDTH, F(1, 2**52)])
+@pytest.mark.parametrize("y_lo, y_hi", [
+    (F(-1, 1000), F(3, 5)),              # linear piece -> cubic join
+    (F(3, 5), F(74, 25)),                # cubic join -> ramp
+    (F(1, 10), F(1, 10) + F(1, 10**40)),  # two ends on the join
+    (F(74, 25), F(3001, 1000)),          # ramp -> next period's linear piece
+    (F(3, 5), F(3, 5) + 3),              # the join in two periods
+    (F(-20), F(7, 3))])                  # many periods apart
+def test_invert_exact_across_breaks_and_periods(width, y_lo, y_hi):
+    lo, hi = TH3.invert_exact(y_lo, y_hi, width)
+    assert (lo, hi) == (TH3.invert_exact(y_lo, y_lo, width)[0],
+                        TH3.invert_exact(y_hi, y_hi, width)[1])
+    assert TH3.eval_exact_point(lo) <= y_lo and y_hi <= TH3.eval_exact_point(hi)
+
+
+def test_ends_that_never_part_share_every_evaluation(monkeypatch):
+    # two ends 10^-45 apart on Theta_3's join, one period up: a bisection per
+    # end evaluates the cubic twice at each of the N midpoints, a shared one once
+    join = TH3.pieces[1]
+    y_lo = join.eval(join.lo + (join.hi - join.lo) / 3)
+    y_hi = y_lo + F(1, 10**45)
+    a, _, visited = _bisect(join, y_lo, DEFAULT_INVERSE_WIDTH)
+    _, b, visited_hi = _bisect(join, y_hi, DEFAULT_INVERSE_WIDTH)
+    assert visited == visited_hi  # the ends never part
+    calls = _count_calls(monkeypatch, HermitePiece, "eval")
+    enc = invert(TH3).eval_enclosure(Enclosure(y_lo + 3, y_hi + 3))
+    assert (enc.lo, enc.hi) == (a + 1, b + 1)
+    assert len(calls) == len(visited)
+
+
 @pytest.mark.parametrize("width", [F(0), F(-1, 10**6)])
 def test_inverse_width_must_be_positive(width):
     # a bisection to a non-positive width would never end
@@ -523,7 +593,8 @@ def test_inverse_width_must_be_positive(width):
     with pytest.raises(PreconditionError):
         invert(th3).eval_enclosure(Enclosure.point(y), inverse_width=width)
     with pytest.raises(PreconditionError):
-        th3.invert_exact(th3.pieces[0].value_lo, width)
+        y = th3.pieces[0].value_lo
+        th3.invert_exact(y, y, width)
 
 
 def test_theta_parameter_guards():
