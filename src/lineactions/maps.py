@@ -29,11 +29,14 @@ float evaluations and a rigorous enclosure evaluation:
 
 Trig-polynomial leaves have float coefficients: they round any input
 outward to floats and return padded float enclosures, so a path through one
-continues in outward-rounded floats.  Their float inverse is Newton's method
-from the affine guess, one cos/sin pass per step, in a one-period bracket
-read off equivariance, F(k) = F(0) + degree*k, with no forward evaluation;
-the array forms of F and of the inverse share one series kernel, which
-gives F and F' in one matrix product (see TrigPolyLift).
+continues in outward-rounded floats.  Their float inverse is Newton's method,
+one cos/sin pass per step, in a closed one-period bracket read off
+equivariance, F(k) = F(0) + degree*k, with no forward evaluation.  Newton
+starts from a table of the inverse over one period, built once per lift,
+and takes at least one step unless that step would not move the start; it
+bisects only when an iterate leaves the bracket or stalls.  The array forms
+of F and of the inverse share one series kernel, which gives F and F' in
+one matrix product (see TrigPolyLift).
 
 A point enclosure [q, q] maps or inverts q once at a rational leaf, and
 maps a float q once at a trig-polynomial leaf; both ends are read off that
@@ -72,6 +75,16 @@ _BLOCK = 2 ** 16
 # trig-polynomial leaf
 
 
+def _fft_grid(harmonics: int) -> int:
+    """The smallest power of two >= max(4096, 8*harmonics): the sample grid
+    of Fourier smoothing, of monotonicity_margin and of the inverse's start
+    table, at least eight points per harmonic."""
+    grid = 4096
+    while grid < 8 * harmonics:
+        grid *= 2
+    return grid
+
+
 class TrigPolyLift(MapTree):
     """x -> degree*x + a0 + sum_k (cos_k cos(2 pi k x) + sin_k sin(2 pi k x)).
 
@@ -83,15 +96,23 @@ class TrigPolyLift(MapTree):
     monotonicity_margin and ROADMAP.md, Direction 3(b)).
 
     The float inverse is Newton's method, safeguarded by bisection, in the
-    one-period bracket [k, k + 1] with F(k) <= y <= F(k + 1).  Equivariance
-    gives F(k) = F(0) + degree*k, so the bracket costs no evaluation of F.
-    Newton starts from the affine guess (y - a0)/degree when that lies
-    inside the bracket, else from its midpoint, and stops when
-    |F(x) - y| <= 1e-14 max(1, |y|), when the bracket is narrower than
-    FLOAT_INVERSE_WIDTH max(1, |x|), or after 80 steps.  Each scalar step
-    takes F and F' from one cos/sin pass (_value_slope); the array forms,
-    eval_array and invert_array, share one kernel (_series) that gives F
-    and F' at a block of points by one matrix product.
+    closed one-period bracket [k, k + 1] with F(k) <= y <= F(k + 1).
+    Equivariance gives F(k) = F(0) + degree*k, so the bracket costs no
+    evaluation of F.  Newton starts from a table of the inverse on one
+    period (_start_table, M + 1 entries, M = _fft_grid(harmonics)): k plus
+    the table read at M (y - F(k))/degree by one index and one linear
+    interpolation.  An iterate x is accepted when |F(x) - y| <= 1e-14
+    max(1, |y|) and either it is not the start or the Newton step from it
+    would not move it (as when F(start) == y), so every answer has had a
+    Newton step or is a fixed point of one.  An iterate on an edge of the
+    bracket is kept; bisection replaces it only when it leaves the bracket
+    or stalls (x_next == x).  Newton also stops when the bracket is
+    narrower than FLOAT_INVERSE_WIDTH max(1, |x|), or after 80 steps.
+    invert_float and invert_array follow these rules step for step.  Each
+    scalar step takes F and F' from one cos/sin pass (_value_slope); the
+    array forms, eval_array and invert_array, share one kernel (_series)
+    that gives F and F' at a block of points by one matrix product.  A
+    non-finite y is a PreconditionError.
     """
 
     def __init__(self, degree: int, a0: float = 0.0,
@@ -127,6 +148,9 @@ class TrigPolyLift(MapTree):
             raise ConstructionError(
                 f"cannot certify monotonicity: derivative lower bound {wit:.3g} <= 0")
         self._f0 = self.eval_float(0.0)
+        self._starts = self._start_table()
+        # the same table for invert_float: indexing a memoryview gives floats
+        self._starts_view = self._starts.data
 
     def monotonicity_margin(self) -> float:
         """Estimated lower bound for F' over a period (cached).
@@ -142,9 +166,7 @@ class TrigPolyLift(MapTree):
             return self._deriv_min
         n = len(self.cos_coeffs)
         m2 = sum(w ** 2 * (abs(a) + abs(b)) for w, a, b in self._terms)
-        grid = 4096
-        while grid < 8 * n:
-            grid *= 2
+        grid = _fft_grid(n)
         while True:
             coeffs = np.zeros(grid // 2 + 1, dtype=complex)
             for k, (a, b) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), start=1):
@@ -158,6 +180,20 @@ class TrigPolyLift(MapTree):
             grid *= 4
         self._deriv_min = margin
         return self._deriv_min
+
+    def _start_table(self) -> np.ndarray:
+        """s(j/M) for j = 0..M, where s inverts (F(x) - F(0))/degree on
+        [0, 1] and M = _fft_grid(harmonics), the first grid of
+        monotonicity_margin: F is sampled at x = i/M by one inverse FFT and
+        inverted by linear interpolation, so s(0) = 0 and s(1) = 1."""
+        n = len(self._wk)
+        grid = _fft_grid(n)
+        spec = np.zeros(grid // 2 + 1, dtype=complex)
+        spec[1:n + 1] = (self._ac - 1j * self._bs) * (grid / 2)
+        per = np.fft.irfft(spec, grid)
+        xs = np.arange(grid + 1) / grid
+        rise = np.append(xs[:-1] + (per - per[0]) / self.degree, 1.0)
+        return np.interp(xs, rise, xs)
 
     def _periodic(self, x: float) -> float:
         if self._spectral:
@@ -230,29 +266,37 @@ class TrigPolyLift(MapTree):
         return Enclosure(f_lo - self._pad(lo), f_hi + self._pad(hi))
 
     def invert_float(self, y: float) -> float:
+        if not math.isfinite(y):
+            raise PreconditionError(f"cannot invert a trig lift at y = {y!r}")
         # the one-period bracket F(a) <= y <= F(a + 1), F(a) = F(0) + degree*a
         deg, f0 = self.degree, self._f0
-        a = math.floor((y - f0) / deg)
+        t = (y - f0) / deg
+        a = math.floor(t)
         while f0 + deg * a > y:
             a -= 1
         while f0 + deg * (a + 1) < y:
             a += 1
         a, b = float(a), float(a + 1)
+        # the start: the table read at M (y - F(a))/degree, clamped to [0, M]
+        starts = self._starts_view
+        cells = len(starts) - 1
+        u = min(max((t - a) * cells, 0.0), cells)
+        i = min(int(u), cells - 1)
+        x = a + (starts[i] + (u - i) * (starts[i + 1] - starts[i]))
         tol = 1e-14 * max(1.0, abs(y))
-        x = (y - self.a0) / deg
-        x = x if a < x < b else a + (b - a) * 0.5
-        for _ in range(80):
+        for step in range(80):
             per, slope = self._value_slope(x)
             fx = deg * x + per - y
-            if abs(fx) <= tol:
+            d = deg + slope
+            xn = x - fx / d if d > 0 else x
+            # the start is returned only where a Newton step would not move it
+            if abs(fx) <= tol and (step or xn == x):
                 return x
             if fx < 0:
                 a = x
             else:
                 b = x
-            d = deg + slope
-            xn = x - fx / d if d > 0 else 0.5 * (a + b)
-            if not (a < xn < b):
+            if not (a <= xn <= b) or xn == x:
                 xn = 0.5 * (a + b)
             x = xn
             if b - a <= FLOAT_INVERSE_WIDTH * max(1.0, abs(x)):
@@ -262,31 +306,41 @@ class TrigPolyLift(MapTree):
     def invert_array(self, ys: np.ndarray) -> np.ndarray:
         """invert_float at each element: the same bracket, start, Newton step
         and stopping tests, run on arrays; an element is frozen once it stops."""
+        finite = np.isfinite(ys)
+        if not finite.all():
+            raise PreconditionError(
+                f"cannot invert a trig lift at y = {float(ys[~finite][0])!r}")
         deg, f0 = self.degree, self._f0
-        a = np.floor((ys - f0) / deg)
+        t = (ys - f0) / deg
+        a = np.floor(t)
         while (over := f0 + deg * a > ys).any():
             a[over] -= 1.0
         while (under := f0 + deg * (a + 1.0) < ys).any():
             a[under] += 1.0
         b = a + 1.0
+        starts = self._starts
+        cells = len(starts) - 1
+        u = np.clip((t - a) * cells, 0.0, cells)
+        i = np.minimum(u.astype(np.intp), cells - 1)
+        x = a + (starts[i] + (u - i) * (starts[i + 1] - starts[i]))
         tol = 1e-14 * np.maximum(1.0, np.abs(ys))
-        x = (ys - self.a0) / deg
-        x = np.where((a < x) & (x < b), x, a + (b - a) * 0.5)
         todo = np.arange(len(ys))
-        for _ in range(80):
+        for step in range(80):
             if not todo.size:
                 break
             xt = x[todo]
             per, slope = self._series(xt)
             fx = deg * xt + (self.a0 + per) - ys[todo]
+            d = deg + slope
+            newton = d > 0
+            xn = np.where(newton, xt - fx / np.where(newton, d, 1.0), xt)
             going = np.abs(fx) > tol[todo]
-            todo, xt, fx, d = todo[going], xt[going], fx[going], deg + slope[going]
+            if not step:
+                going |= xn != xt
+            todo, xt, fx, xn = todo[going], xt[going], fx[going], xn[going]
             at, bt = np.where(fx < 0, xt, a[todo]), np.where(fx < 0, b[todo], xt)
             a[todo], b[todo] = at, bt
-            mid = 0.5 * (at + bt)
-            newton = d > 0
-            xn = np.where(newton, xt - fx / np.where(newton, d, 1.0), mid)
-            xn = np.where((at < xn) & (xn < bt), xn, mid)
+            xn = np.where((at <= xn) & (xn <= bt) & (xn != xt), xn, 0.5 * (at + bt))
             x[todo] = xn
             todo = todo[bt - at > FLOAT_INVERSE_WIDTH * np.maximum(1.0, np.abs(xn))]
         return x
@@ -546,9 +600,7 @@ def fourier_smooth(f: MapTree, degree_hint: int, harmonics: int) -> TrigPolyLift
     """
     if harmonics < 1:
         raise PreconditionError("need harmonics >= 1")
-    samples = 1
-    while samples < max(8 * harmonics, 4096):
-        samples *= 2
+    samples = _fft_grid(harmonics)
     xs = np.arange(samples) / samples
     per = f.eval_array(xs) - degree_hint * xs
     spec = np.fft.rfft(per) / samples

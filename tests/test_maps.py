@@ -245,11 +245,20 @@ def _assert_newton_stopped(lift, y, x):
     assert lift.eval_float(x - w) <= y <= lift.eval_float(x + w)
 
 
-def _newton_start_inside(lift, x):
-    """Whether the affine guess (F(x) - a0)/degree lies strictly inside the
-    one-period bracket [floor(x), floor(x) + 1] that holds x."""
-    guess = (lift.eval_float(x) - lift.a0) / lift.degree
-    return math.floor(x) < guess < math.floor(x) + 1
+def _evaluations(lift, monkeypatch, y) -> tuple:
+    """(x, n): invert_float(y) and the number of _value_slope calls it made."""
+    calls = _count_calls(monkeypatch, lift, "_value_slope")
+    x = lift.invert_float(y)
+    monkeypatch.undo()
+    return x, len(calls)
+
+
+def _rounds(lift, monkeypatch, ys) -> tuple:
+    """(xs, n): invert_array(ys) and the number of _series rounds it made."""
+    calls = _count_calls(monkeypatch, lift, "_series")
+    xs = lift.invert_array(np.array(ys, dtype=float))
+    monkeypatch.undo()
+    return xs, len(calls)
 
 
 @given(amplitude=st.floats(min_value=0.005, max_value=0.03),
@@ -259,28 +268,34 @@ def _newton_start_inside(lift, x):
 @settings(max_examples=80, deadline=None)
 def test_newton_from_the_affine_guess(amplitude, phase, k, frac):
     # a sine lift moves the inverse by at most its amplitude off the affine
-    # guess, so away from the integers Newton starts from the guess
+    # guess (y - a0)/degree; the table start is within the interpolation
+    # error of the root, so one Newton step lands there, out to |y| = 1e6
+    # (none at all where the start is exact, as at x = 1/2 with phase 0)
     t = 2 * math.pi * phase
     lift = TrigPolyLift(1, 0.0, (-amplitude * math.sin(t),), (amplitude * math.cos(t),))
     y = lift.eval_float(k + frac)
-    x = lift.invert_float(y)
-    assert _newton_start_inside(lift, x)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        x, evaluations = _evaluations(lift, monkeypatch, y)
+        xs, rounds = _rounds(lift, monkeypatch, [y])
+    assert evaluations <= 2 and rounds <= 2
     _assert_newton_stopped(lift, y, x)
-    _assert_newton_stopped(lift, y, float(lift.invert_array(np.array([y]))[0]))
+    _assert_newton_stopped(lift, y, float(xs[0]))
 
 
 @pytest.mark.parametrize("harmonics", [8, 16])
 @pytest.mark.parametrize("x0", [0.01, 0.02, -3.99, 7.015, 0.5])
-def test_newton_from_the_midpoint(harmonics, x0):
+def test_newton_from_the_midpoint(harmonics, x0, monkeypatch):
     # the smoothed Theta_2 is nearly flat just past each integer, where the
-    # affine guess falls a third of a period below the bracket
+    # affine guess falls a third of a period below the bracket; the start
+    # is read off the table instead, and needs at most two Newton steps
     lift = fourier_smooth(TH2, 2, harmonics)
     y = lift.eval_float(x0)
-    x = lift.invert_float(y)
+    x, evaluations = _evaluations(lift, monkeypatch, y)
+    xs, rounds = _rounds(lift, monkeypatch, [y])
     assert abs(x - x0) < 1e-12 * max(1.0, abs(x0))
-    assert _newton_start_inside(lift, x) == (x0 == 0.5)
+    assert evaluations <= 3 and rounds <= 3
     _assert_newton_stopped(lift, y, x)
-    _assert_newton_stopped(lift, y, float(lift.invert_array(np.array([y]))[0]))
+    _assert_newton_stopped(lift, y, float(xs[0]))
 
 
 def _bracket_edges(lift):
@@ -305,6 +320,49 @@ def test_newton_at_the_bracket_edges(trig_lifts, name):
         _assert_newton_stopped(lift, y, float(x))
 
 
+@pytest.mark.parametrize("name", ["sine", "fejer theta_3", "fejer theta_2 (8)"])
+def test_newton_keeps_the_bracket_edges(trig_lifts, name, monkeypatch):
+    # a root on or next to F(0) + degree*k, where the closed bracket's edge
+    # is the start or an iterate; an open bracket would bisect here (up to
+    # 47 evaluations on the sine lift)
+    lift = trig_lifts[name]
+    ys = [lift._f0 + lift.degree * k + off for k in range(-20, 21)
+          for off in (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6)]
+    most = 0
+    for y in ys:
+        x, evaluations = _evaluations(lift, monkeypatch, y)
+        assert evaluations <= 3, y
+        _assert_newton_stopped(lift, y, x)
+        most = max(most, evaluations)
+    xs, rounds = _rounds(lift, monkeypatch, ys)
+    assert rounds <= most
+    for y, x in zip(ys, xs):
+        _assert_newton_stopped(lift, y, float(x))
+
+
+def test_newton_step_counts(trig_lifts, monkeypatch):
+    # two evaluations (start, one Newton step) on sine lifts of amplitude up
+    # to 0.03; at most four on the steep joins of the smoothed Theta_3
+    rng = random.Random(14)
+    ys = [rng.uniform(-20, 20) for _ in range(2000)]
+    for lift, allowed in ((trig_lifts["sine"], {2}), (sine_lift("3/100"), {2}),
+                          (trig_lifts["fejer theta_3"], {1, 2, 3, 4})):
+        counts = {_evaluations(lift, monkeypatch, y)[1] for y in ys}
+        assert counts <= allowed, counts
+        assert _rounds(lift, monkeypatch, ys)[1] <= max(allowed)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_trig_inverse_rejects_non_finite_y(trig_lifts, bad):
+    lift = trig_lifts["sine"]
+    with pytest.raises(PreconditionError, match=repr(bad)):
+        lift.invert_float(bad)
+    with pytest.raises(PreconditionError, match=repr(bad)):
+        lift.invert_array(np.array([0.25, bad, 1.5]))
+    with pytest.raises(PreconditionError, match=repr(bad)):
+        invert(lift).eval_float(bad)
+
+
 def _forbidden(*args):
     raise AssertionError("the trig inverse evaluated F outside its Newton steps")
 
@@ -321,36 +379,38 @@ def test_trig_inverse_bracket_needs_no_forward_evaluation(trig_lifts, name, monk
     assert np.array_equal(lift.invert_array(np.array(ys)), want_array)
 
 
-# invert_float away from every bracket edge, recorded while the bracket was
-# still found by evaluating F at the integers; reading it off equivariance
-# moves no bit there
+# invert_float away from every bracket edge, recorded with the start read
+# off the per-period table; the bits are those of whichever iterate first
+# met the stopping test, checked again below
 INVERSE_HEX = {
     ("sine", 0.3): "0x1.29496e0b377fap-2",
     ("sine", -2.71): "-0x1.5c231626e2543p+1",
     ("sine", 17.25): "0x1.13d71ed99aef0p+4",
-    ("sine", 12345.678): "0x1.81cd7f73ac2d5p+13",
-    ("sine", -98765.4321): "-0x1.81cd6d7e92d21p+16",
-    ("fejer theta_2 (8)", 0.3): "0x1.bde161fadf4a2p-6",
+    ("sine", 12345.678): "0x1.81cd7f73ac2bcp+13",
+    ("sine", -98765.4321): "-0x1.81cd6d7e92d22p+16",
+    ("fejer theta_2 (8)", 0.3): "0x1.bde161fadf49fp-6",
     ("fejer theta_2 (8)", -2.71): "-0x1.e7fbf57a7d7adp+0",
-    ("fejer theta_2 (8)", 17.25): "0x1.02ebb7a4d6609p+3",
+    ("fejer theta_2 (8)", 17.25): "0x1.02ebb7a4d6607p+3",
     ("fejer theta_2 (8)", 12345.678): "0x1.81c2003fd83b6p+12",
-    ("fejer theta_2 (8)", -98765.4321): "-0x1.81cde69f582dep+15",
-    ("fejer theta_3 (8)", 0.3): "0x1.ca0bc86e55618p-7",
+    ("fejer theta_2 (8)", -98765.4321): "-0x1.81cde69f582e6p+15",
+    ("fejer theta_3 (8)", 0.3): "0x1.ca0bc86e5560dp-7",
     ("fejer theta_3 (8)", -2.71): "-0x1.f9699e2077c50p-1",
-    ("fejer theta_3 (8)", 17.25): "0x1.46e45d8f67132p+2",
+    ("fejer theta_3 (8)", 17.25): "0x1.46e45d8f67135p+2",
     ("fejer theta_3 (8)", 12345.678): "0x1.0130a70c04956p+12",
     ("fejer theta_3 (8)", -98765.4321): "-0x1.0133ee42b43cdp+15",
-    ("fejer theta_3", 0.3): "0x1.e46aaa24e5a55p-5",
+    ("fejer theta_3", 0.3): "0x1.e46aaa24e5a52p-5",
     ("fejer theta_3", -2.71): "-0x1.e1d306d84c067p-1",
     ("fejer theta_3", 17.25): "0x1.45677be2897ebp+2",
-    ("fejer theta_3", 12345.678): "0x1.01310adfdf85ap+12",
-    ("fejer theta_3", -98765.4321): "-0x1.0133df715dab9p+15",
+    ("fejer theta_3", 12345.678): "0x1.01310adfdf85bp+12",
+    ("fejer theta_3", -98765.4321): "-0x1.0133df715dab8p+15",
 }
 
 
 @pytest.mark.parametrize("name, y", INVERSE_HEX)
 def test_trig_inverse_bits_away_from_the_edges(trig_lifts, name, y):
-    assert trig_lifts[name].invert_float(y).hex() == INVERSE_HEX[name, y]
+    x = trig_lifts[name].invert_float(y)
+    assert x.hex() == INVERSE_HEX[name, y]
+    _assert_newton_stopped(trig_lifts[name], y, x)
 
 
 KNOTS = from_knots([(F(-1, 3), F(-1, 5)), (F(1, 4), F(1, 2)), (F(1, 2), F(3, 5))], 1)
