@@ -33,10 +33,13 @@ continues in outward-rounded floats.  Their float inverse is Newton's method,
 one cos/sin pass per step, in a closed one-period bracket read off
 equivariance, F(k) = F(0) + degree*k, with no forward evaluation.  Newton
 starts from a table of the inverse over one period, built once per lift,
-and takes at least one step unless that step would not move the start; it
-bisects only when an iterate leaves the bracket or stalls.  The array forms
-of F and of the inverse share one series kernel, which gives F and F' in
-one matrix product (see TrigPolyLift).
+and takes at least one step unless that step would not move the start; a
+step whose residual a bound derived from the coefficients shows within the
+stopping tolerance is accepted without evaluating F there, so a sine lift
+is inverted in one evaluation.  It bisects only when an iterate leaves the
+bracket or stalls.  The array forms of F and of the inverse share one
+series kernel, which gives F and F' in one matrix product (see
+TrigPolyLift).
 
 A point enclosure [q, q] maps or inverts q once at a rational leaf, and
 maps a float q once at a trig-polynomial leaf; both ends are read off that
@@ -55,6 +58,7 @@ nodes, the constructors, Fourier smoothing and the JSON specs live here.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -101,18 +105,26 @@ class TrigPolyLift(MapTree):
     evaluation of F.  Newton starts from a table of the inverse on one
     period (_start_table, M + 1 entries, M = _fft_grid(harmonics)): k plus
     the table read at M (y - F(k))/degree by one index and one linear
-    interpolation.  An iterate x is accepted when |F(x) - y| <= 1e-14
-    max(1, |y|) and either it is not the start or the Newton step from it
-    would not move it (as when F(start) == y), so every answer has had a
-    Newton step or is a fixed point of one.  An iterate on an edge of the
+    interpolation.  With tol = 1e-14 max(1, |y|), an iterate x is accepted
+    when |F(x) - y| <= tol and either it is not the start or the Newton step
+    from it would not move it (as when F(start) == y), so every answer has
+    had a Newton step or is a fixed point of one.  A Newton step x -> xn
+    that stays in the bracket and moves x is accepted unevaluated when
+    h2 (xn - x)^2 + e0 + e1 |x| <= tol: that bounds the evaluated
+    |F(xn) - y| (_set_step_bound), so the next step would accept xn, and
+    xn is returned without it.  On a sine lift the start's step passes, one
+    evaluation per inversion; on the Fejer-smoothed Theta_j, e0 alone
+    exceeds tol and every step is evaluated.  An iterate on an edge of the
     bracket is kept; bisection replaces it only when it leaves the bracket
     or stalls (x_next == x).  Newton also stops when the bracket is
     narrower than FLOAT_INVERSE_WIDTH max(1, |x|), or after 80 steps.
     invert_float and invert_array follow these rules step for step.  Each
     scalar step takes F and F' from one cos/sin pass (_value_slope); the
     array forms, eval_array and invert_array, share one kernel (_series)
-    that gives F and F' at a block of points by one matrix product.  A
-    non-finite y is a PreconditionError.
+    that gives F and F' at a block of points by one matrix product.  A y
+    with |y| above degree * 1.8e308 / (8 pi N), N harmonics, where the
+    phases 2 pi k x would overflow, is a PreconditionError, and so is a
+    non-finite y.
     """
 
     def __init__(self, degree: int, a0: float = 0.0,
@@ -138,10 +150,15 @@ class TrigPolyLift(MapTree):
                                          np.concatenate((self._bw, -self._aw))))
         self._terms = list(zip(wk.tolist(), self.cos_coeffs, self.sin_coeffs))
         self._spectral = n > 8
-        # error model of eval_float, for _pad
+        # error model of eval_float, for _pad, and the bound on |F''|
         self._amplitude = abs(self.a0) + float(np.sum(np.abs(ac) + np.abs(bs)))
         self._err_const = _EPS * (n + 3) * self._amplitude
-        self._err_per_x = 2 * _EPS * float(np.sum(np.abs(self._aw) + np.abs(self._bw)))
+        slope_amplitude = float(np.sum(np.abs(self._aw) + np.abs(self._bw)))
+        self._err_per_x = 2 * _EPS * slope_amplitude
+        self._m2 = sum(w ** 2 * (abs(a) + abs(b)) for w, a, b in self._terms)
+        self._set_step_bound(slope_amplitude)
+        # the largest |y| the inverse takes: the phases 2 pi k x stay finite
+        self._y_max = degree * (sys.float_info.max / 4) / (2 * math.pi * max(n, 1))
         self._deriv_min = None
         wit = self.monotonicity_margin()
         if wit <= 0:
@@ -165,7 +182,7 @@ class TrigPolyLift(MapTree):
         if self._deriv_min is not None:
             return self._deriv_min
         n = len(self.cos_coeffs)
-        m2 = sum(w ** 2 * (abs(a) + abs(b)) for w, a, b in self._terms)
+        m2 = self._m2
         grid = _fft_grid(n)
         while True:
             coeffs = np.zeros(grid // 2 + 1, dtype=complex)
@@ -223,19 +240,18 @@ class TrigPolyLift(MapTree):
 
     def _series(self, xs: np.ndarray) -> np.ndarray:
         """Rows (_periodic(x) - a0, F'(x) - degree) at each x in xs: the table
-        [cos(2 pi k x) | sin(2 pi k x)] of a block of rows times _weights, one
-        matrix product per block; blocks keep the table under _BLOCK elements."""
+        [cos(2 pi k x) | sin(2 pi k x)] times _weights, one matrix product per
+        block of rows; blocks keep the table under _BLOCK elements."""
         n = len(self._wk)
         rows = max(1, _BLOCK // max(1, 2 * n))
-        table = np.empty((min(rows, len(xs)), 2 * n))
-        out = np.empty((len(xs), 2))
-        for s in range(0, len(xs), rows):
+        parts = []
+        for s in range(0, max(1, len(xs)), rows):
             phases = np.multiply.outer(xs[s:s + rows], self._wk)
-            block = table[:len(phases)]
-            np.cos(phases, out=block[:, :n])
-            np.sin(phases, out=block[:, n:])
-            out[s:s + rows] = block @ self._weights
-        return out.T
+            table = np.empty((len(phases), 2 * n))
+            np.cos(phases, out=table[:, :n])
+            np.sin(phases, out=table[:, n:])
+            parts.append(table @ self._weights)
+        return (parts[0] if len(parts) == 1 else np.concatenate(parts)).T
 
     def eval_array(self, xs):
         return self.degree * xs + (self.a0 + self._series(xs)[0])
@@ -265,17 +281,50 @@ class TrigPolyLift(MapTree):
         f_hi = f_lo if hi == lo else self.eval_float(hi)
         return Enclosure(f_lo - self._pad(lo), f_hi + self._pad(hi))
 
-    def invert_float(self, y: float) -> float:
-        if not math.isfinite(y):
+    def _set_step_bound(self, slope_amplitude: float) -> None:
+        """Constants h2, e0, e1 of the test that accepts a Newton step unseen.
+
+        Let x lie in the one-period bracket, fx and d the computed F(x) - y
+        and F'(x), and xn = x - fx/d the rounded step, D = xn - x; xn in the
+        bracket gives |D| <= 1.  By Taylor, |F(xn) - y| <= |F(x) - y + F'(x) D|
+        + h2 D^2 with h2 = max|F''|/2 <= sum (2 pi k)^2 (|a_k| + |b_k|) / 2.
+        With u = 2^-53, A1 = sum 2 pi k (|a_k| + |b_k|) and d <= degree + A1,
+        F(x) - y + F'(x) D differs from fx + d D, which is 0 up to the rounding
+        of the quotient and of x - fx/d (u |fx| + u d |xn|), by
+        - the error of fx: _pad's terms at x plus u |fx| for subtracting y;
+        - the error of d times |D| <= 1: the phase error 3u 2 pi k |x| moves
+          the k-th term of F' by up to (2 pi k)^2 (|a_k| + |b_k|) times it,
+          the weights, cos, sin, products and sum cost eps (N + 3) A1 as in
+          _pad, and adding the degree u d;
+        and |fx| <= d (|D| + u |xn|).  Adding _pad's terms at xn, |xn| <= |x| + 1,
+        bounds the computed |F(xn) - y| by h2 D^2 + e0 + e1 |x|; h2 is rounded
+        up and e0, e1 are doubled for the second-order terms and the rounding
+        of the test.  Where that is <= tol, the next step would stop at xn.
+        """
+        n, deg, amp = len(self._wk), self.degree, self._amplitude
+        const, per_x = self._err_const, self._err_per_x
+        d = deg + slope_amplitude
+        self._h2 = 0.5 * self._m2 * (1 + (n + 16) * _EPS)
+        self._e0 = 2 * (2 * const + per_x
+                        + _EPS * (2 * amp + deg + (n + 3) * slope_amplitude + 2 * d))
+        self._e1 = 2 * (2 * per_x + _EPS * (2 * deg + 2 * self._m2 + d / 2))
+
+    def _check_inverse_domain(self, y: float) -> None:
+        # one comparison rejects NaN, +-inf and a |y| whose phases overflow
+        if not abs(y) <= self._y_max:
             raise PreconditionError(f"cannot invert a trig lift at y = {y!r}")
-        # the one-period bracket F(a) <= y <= F(a + 1), F(a) = F(0) + degree*a
+
+    def invert_float(self, y: float) -> float:
+        self._check_inverse_domain(y)
+        # the one-period bracket F(a) <= y <= F(a + 1), F(a) = F(0) + degree*a;
+        # one move of a either way corrects the floor wherever floats resolve
+        # degree*a (|y| < 2^51 degree), and past that y may miss the closed
+        # bracket by rounding, as it may at an edge
         deg, f0 = self.degree, self._f0
         t = (y - f0) / deg
         a = math.floor(t)
-        while f0 + deg * a > y:
-            a -= 1
-        while f0 + deg * (a + 1) < y:
-            a += 1
+        a -= f0 + deg * a > y
+        a += f0 + deg * (a + 1) < y
         a, b = float(a), float(a + 1)
         # the start: the table read at M (y - F(a))/degree, clamped to [0, M]
         starts = self._starts_view
@@ -284,6 +333,7 @@ class TrigPolyLift(MapTree):
         i = min(int(u), cells - 1)
         x = a + (starts[i] + (u - i) * (starts[i + 1] - starts[i]))
         tol = 1e-14 * max(1.0, abs(y))
+        h2, e0, e1 = self._h2, self._e0, self._e1
         for step in range(80):
             per, slope = self._value_slope(x)
             fx = deg * x + per - y
@@ -298,6 +348,8 @@ class TrigPolyLift(MapTree):
                 b = x
             if not (a <= xn <= b) or xn == x:
                 xn = 0.5 * (a + b)
+            elif h2 * (xn - x) ** 2 + e0 + e1 * abs(x) <= tol:
+                return xn
             x = xn
             if b - a <= FLOAT_INVERSE_WIDTH * max(1.0, abs(x)):
                 break
@@ -305,45 +357,50 @@ class TrigPolyLift(MapTree):
 
     def invert_array(self, ys: np.ndarray) -> np.ndarray:
         """invert_float at each element: the same bracket, start, Newton step
-        and stopping tests, run on arrays; an element is frozen once it stops."""
-        finite = np.isfinite(ys)
-        if not finite.all():
-            raise PreconditionError(
-                f"cannot invert a trig lift at y = {float(ys[~finite][0])!r}")
+        and stopping tests, run on arrays.  Round 0 runs on whole arrays;
+        later rounds gather the elements that have not stopped."""
+        if not np.abs(ys).max(initial=0.0) <= self._y_max:
+            self._check_inverse_domain(float(ys[~(np.abs(ys) <= self._y_max)][0]))
         deg, f0 = self.degree, self._f0
         t = (ys - f0) / deg
         a = np.floor(t)
-        while (over := f0 + deg * a > ys).any():
-            a[over] -= 1.0
-        while (under := f0 + deg * (a + 1.0) < ys).any():
-            a[under] += 1.0
-        b = a + 1.0
+        a -= f0 + deg * a > ys
+        a += f0 + deg * (a + 1.0) < ys
         starts = self._starts
         cells = len(starts) - 1
-        u = np.clip((t - a) * cells, 0.0, cells)
+        u = np.minimum(np.maximum((t - a) * cells, 0.0), cells)
         i = np.minimum(u.astype(np.intp), cells - 1)
         x = a + (starts[i] + (u - i) * (starts[i + 1] - starts[i]))
         tol = 1e-14 * np.maximum(1.0, np.abs(ys))
-        todo = np.arange(len(ys))
-        for step in range(80):
+        x, a, b, going = self._newton_round(x, ys, a, a + 1.0, tol, True)
+        todo = going.nonzero()[0]
+        for _ in range(79):
             if not todo.size:
                 break
-            xt = x[todo]
-            per, slope = self._series(xt)
-            fx = deg * xt + (self.a0 + per) - ys[todo]
-            d = deg + slope
-            newton = d > 0
-            xn = np.where(newton, xt - fx / np.where(newton, d, 1.0), xt)
-            going = np.abs(fx) > tol[todo]
-            if not step:
-                going |= xn != xt
-            todo, xt, fx, xn = todo[going], xt[going], fx[going], xn[going]
-            at, bt = np.where(fx < 0, xt, a[todo]), np.where(fx < 0, b[todo], xt)
-            a[todo], b[todo] = at, bt
-            xn = np.where((at <= xn) & (xn <= bt) & (xn != xt), xn, 0.5 * (at + bt))
-            x[todo] = xn
-            todo = todo[bt - at > FLOAT_INVERSE_WIDTH * np.maximum(1.0, np.abs(xn))]
+            x[todo], a[todo], b[todo], going = self._newton_round(
+                x[todo], ys[todo], a[todo], b[todo], tol[todo], False)
+            todo = todo[going]
         return x
+
+    def _newton_round(self, x, y, a, b, tol, first: bool) -> tuple:
+        """One step of invert_float's loop on arrays: (x, a, b, going), where
+        going marks the elements that have not stopped."""
+        deg = self.degree
+        per, slope = self._series(x)
+        fx = deg * x + (self.a0 + per) - y
+        d = deg + slope
+        newton = d > 0
+        xn = np.where(newton, x - fx / np.where(newton, d, 1.0), x)
+        stay = np.abs(fx) <= tol
+        if first:
+            stay &= xn == x
+        low = fx < 0
+        a, b = np.where(low, x, a), np.where(low, b, x)
+        inside = (a <= xn) & (xn <= b) & (xn != x)
+        accept = inside & (self._h2 * (xn - x) ** 2 + self._e0 + self._e1 * np.abs(x) <= tol)
+        xn = np.where(inside, xn, 0.5 * (a + b))
+        going = ~(stay | accept) & (b - a > FLOAT_INVERSE_WIDTH * np.maximum(1.0, np.abs(xn)))
+        return np.where(stay, x, xn), a, b, going
 
     def to_spec(self):
         return {"kind": "trigpoly", "degree": self.degree, "a0": self.a0,

@@ -82,7 +82,9 @@ def _decompose(ts: np.ndarray, h: MapTree, window: float) -> tuple[np.ndarray, n
     """(s, k) with ts = h^k(s) and s inside the window, so that phi-values
     extend by phi(t) = phi(s) + k.  h^-1 is applied to the points above the
     window, then h to the points below it, each time only to the points still
-    outside; no point may take more than 10000 steps in all."""
+    outside; no point may take more than 10000 steps in all.  Each point is
+    moved on its own, so one call on a concatenation gives the results of one
+    call per part, in fewer and larger eval_array calls."""
     ss = ts.copy()
     ks = np.zeros(len(ts), dtype=np.int64)
     steps = np.zeros(len(ts), dtype=np.int64)
@@ -106,7 +108,9 @@ def solve_conjugacy(g: MapTree, h: MapTree, n: int, grid_step: float = 1e-3,
     Preconditions: the relation g h g^{-1} = h^n holds on samples within
     max(tol, 1e-12), and g is uniformly expanding on the window.
     Convergence requires the successive sup-change to fall below tol and both
-    conjugacy residuals to reach tol.
+    conjugacy residuals to reach tol.  The grid's images under g (for the
+    operator) and under h (for the h-residual) are moved into the window by
+    one _decompose call on their concatenation.
     """
     if n < 2:
         raise PreconditionError(f"need n >= 2, got {n}")
@@ -130,12 +134,12 @@ def solve_conjugacy(g: MapTree, h: MapTree, n: int, grid_step: float = 1e-3,
 
     npts = int(round(2 * window / grid_step)) + 1
     xs = np.linspace(-window, window, npts)
+    # phi(g(x_i)) for the operator and phi(h(x_i)) for the h-residual: one
+    # decomposition of both point sets
     g_of_xs = g.eval_array(xs + x_star) - x_star
-    s_arr, k_arr = _decompose(g_of_xs, h_hat_tree, window)
-
-    # for the h-residual: phi(h(x_i)) needs its own decomposition
     h_of_xs = h_hat_tree.eval_array(xs)
-    hs_arr, hk_arr = _decompose(h_of_xs, h_hat_tree, window)
+    ss, ks = _decompose(np.concatenate((g_of_xs, h_of_xs)), h_hat_tree, window)
+    (s_arr, hs_arr), (k_arr, hk_arr) = np.split(ss, 2), np.split(ks, 2)
 
     phi = xs.copy()
     deviations = []

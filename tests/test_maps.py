@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
@@ -261,6 +263,154 @@ def _rounds(lift, monkeypatch, ys) -> tuple:
     return xs, len(calls)
 
 
+def reference_invert_float(lift, y):
+    """invert_float as it was before a Newton step could be accepted on a
+    bound: every answer is an iterate whose own evaluation met the stopping
+    test.  The reference for the bits of both inverse forms."""
+    deg, f0 = lift.degree, lift._f0
+    t = (y - f0) / deg
+    a = math.floor(t)
+    while f0 + deg * a > y:
+        a -= 1
+    while f0 + deg * (a + 1) < y:
+        a += 1
+    a, b = float(a), float(a + 1)
+    starts = lift._starts_view
+    cells = len(starts) - 1
+    u = min(max((t - a) * cells, 0.0), cells)
+    i = min(int(u), cells - 1)
+    x = a + (starts[i] + (u - i) * (starts[i + 1] - starts[i]))
+    tol = 1e-14 * max(1.0, abs(y))
+    for step in range(80):
+        per, slope = lift._value_slope(x)
+        fx = deg * x + per - y
+        d = deg + slope
+        xn = x - fx / d if d > 0 else x
+        if abs(fx) <= tol and (step or xn == x):
+            return x
+        if fx < 0:
+            a = x
+        else:
+            b = x
+        if not (a <= xn <= b) or xn == x:
+            xn = 0.5 * (a + b)
+        x = xn
+        if b - a <= FLOAT_INVERSE_WIDTH * max(1.0, abs(x)):
+            break
+    return x
+
+
+def reference_invert_array(lift, ys):
+    """invert_array as it was before a Newton step could be accepted on a bound."""
+    deg, f0 = lift.degree, lift._f0
+    t = (ys - f0) / deg
+    a = np.floor(t)
+    while (over := f0 + deg * a > ys).any():
+        a[over] -= 1.0
+    while (under := f0 + deg * (a + 1.0) < ys).any():
+        a[under] += 1.0
+    b = a + 1.0
+    starts = lift._starts
+    cells = len(starts) - 1
+    u = np.clip((t - a) * cells, 0.0, cells)
+    i = np.minimum(u.astype(np.intp), cells - 1)
+    x = a + (starts[i] + (u - i) * (starts[i + 1] - starts[i]))
+    tol = 1e-14 * np.maximum(1.0, np.abs(ys))
+    todo = np.arange(len(ys))
+    for step in range(80):
+        if not todo.size:
+            break
+        xt = x[todo]
+        per, slope = lift._series(xt)
+        fx = deg * xt + (lift.a0 + per) - ys[todo]
+        d = deg + slope
+        newton = d > 0
+        xn = np.where(newton, xt - fx / np.where(newton, d, 1.0), xt)
+        going = np.abs(fx) > tol[todo]
+        if not step:
+            going |= xn != xt
+        todo, xt, fx, xn = todo[going], xt[going], fx[going], xn[going]
+        at, bt = np.where(fx < 0, xt, a[todo]), np.where(fx < 0, b[todo], xt)
+        a[todo], b[todo] = at, bt
+        xn = np.where((at <= xn) & (xn <= bt) & (xn != xt), xn, 0.5 * (at + bt))
+        x[todo] = xn
+        todo = todo[bt - at > FLOAT_INVERSE_WIDTH * np.maximum(1.0, np.abs(xn))]
+    return x
+
+
+def _assert_reference_bits(lift, ys):
+    ys = np.array(ys, dtype=float)
+    want = [reference_invert_float(lift, float(y)).hex() for y in ys]
+    assert [lift.invert_float(float(y)).hex() for y in ys] == want
+    assert lift.invert_array(ys).tobytes() == reference_invert_array(lift, ys).tobytes()
+
+
+@given(amplitude=st.floats(min_value=1e-3, max_value=0.1),
+       phase=st.floats(min_value=0, max_value=1),
+       ys=st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_inverse_bits_match_the_reference_on_sine_lifts(amplitude, phase, ys):
+    t = 2 * math.pi * phase
+    lift = TrigPolyLift(1, 0.0, (-amplitude * math.sin(t),), (amplitude * math.cos(t),))
+    _assert_reference_bits(lift, ys)
+
+
+@pytest.mark.parametrize("name", ["sine", "sine 1/20", "fejer theta_2", "fejer theta_3",
+                                  "fejer theta_2 (8)", "fejer theta_3 (8)"])
+def test_inverse_bits_match_the_reference_at_the_bracket_edges(trig_lifts, name):
+    lift = trig_lifts[name]
+    _assert_reference_bits(lift, _bracket_edges(lift) + LARGE + [0.3, -2.71, 17.25])
+
+
+def _accepted_steps(lift, monkeypatch, ys) -> list:
+    """(y, x, xn) for each y whose inverse xn was accepted on the step bound
+    from the last evaluated iterate x, with no evaluation at xn."""
+    out = []
+    for y in ys:
+        calls = _count_calls(monkeypatch, lift, "_value_slope")
+        xn = lift.invert_float(y)
+        monkeypatch.undo()
+        if calls[-1][0] != xn:
+            out.append((y, calls[-1][0], xn))
+    return out
+
+
+@pytest.mark.parametrize("amplitude", ["1/1000", "1/100", "3/100", "1/20"])
+def test_step_bound_dominates_the_true_residual(amplitude, monkeypatch):
+    # the bound on the evaluated |F(xn) - y| covers the true one as well,
+    # near 0 and at large |y|, where the rounding of the phases dominates
+    lift = sine_lift(amplitude)
+    rng = random.Random(15)
+    ys = LARGE + [rng.uniform(-3, 3) for _ in range(40)] + [rng.uniform(-1e6, 1e6)
+                                                            for _ in range(40)]
+    accepted = _accepted_steps(lift, monkeypatch, ys)
+    # the rest stop at the start, where F(start) == y already
+    assert len(accepted) >= len(ys) // 2
+    for y, x, xn in accepted:
+        bound = lift._h2 * (xn - x) ** 2 + lift._e0 + lift._e1 * abs(x)
+        assert bound <= 1e-14 * max(1.0, abs(y))
+        assert abs(_trig_lift_value(lift, F(xn)) - Decimal(y)) <= Decimal(bound)
+        assert abs(lift.eval_float(xn) - y) <= bound
+
+
+def test_steep_joins_fall_back_to_the_loop(trig_lifts, monkeypatch):
+    # on the smoothed Theta_3 (8) the bound never accepts a step: the loop
+    # evaluates exactly where the reference does, and no more often
+    lift = trig_lifts["fejer theta_3 (8)"]
+    ys = [lift.eval_float(float(j) + k + off) for j in sorted(set(TH3._breaks_exact))
+          for k in (-3, 0, 5)
+          for off in (-1e-3, 0.0, 1e-3)]
+    assert not _accepted_steps(lift, monkeypatch, ys)
+    for y in ys:
+        calls = _count_calls(monkeypatch, lift, "_value_slope")
+        reference_invert_float(lift, y)
+        want = list(calls)
+        calls.clear()
+        lift.invert_float(y)
+        monkeypatch.undo()
+        assert calls == want and len(calls) >= 2
+
+
 @given(amplitude=st.floats(min_value=0.005, max_value=0.03),
        phase=st.floats(min_value=0, max_value=1),
        k=st.integers(min_value=-10**6, max_value=10**6),
@@ -269,15 +419,16 @@ def _rounds(lift, monkeypatch, ys) -> tuple:
 def test_newton_from_the_affine_guess(amplitude, phase, k, frac):
     # a sine lift moves the inverse by at most its amplitude off the affine
     # guess (y - a0)/degree; the table start is within the interpolation
-    # error of the root, so one Newton step lands there, out to |y| = 1e6
-    # (none at all where the start is exact, as at x = 1/2 with phase 0)
+    # error of the root, so one Newton step lands there and the step bound
+    # accepts it, out to |y| = 1e6: one evaluation (none past the start
+    # where the start is exact, as at x = 1/2 with phase 0)
     t = 2 * math.pi * phase
     lift = TrigPolyLift(1, 0.0, (-amplitude * math.sin(t),), (amplitude * math.cos(t),))
     y = lift.eval_float(k + frac)
     with pytest.MonkeyPatch.context() as monkeypatch:
         x, evaluations = _evaluations(lift, monkeypatch, y)
         xs, rounds = _rounds(lift, monkeypatch, [y])
-    assert evaluations <= 2 and rounds <= 2
+    assert evaluations == 1 and rounds == 1
     _assert_newton_stopped(lift, y, x)
     _assert_newton_stopped(lift, y, float(xs[0]))
 
@@ -341,11 +492,12 @@ def test_newton_keeps_the_bracket_edges(trig_lifts, name, monkeypatch):
 
 
 def test_newton_step_counts(trig_lifts, monkeypatch):
-    # two evaluations (start, one Newton step) on sine lifts of amplitude up
-    # to 0.03; at most four on the steep joins of the smoothed Theta_3
+    # one evaluation (the start, whose Newton step the bound accepts) on sine
+    # lifts of amplitude up to 0.03, and one array round; at most four on the
+    # steep joins of the smoothed Theta_3, where the bound never accepts
     rng = random.Random(14)
     ys = [rng.uniform(-20, 20) for _ in range(2000)]
-    for lift, allowed in ((trig_lifts["sine"], {2}), (sine_lift("3/100"), {2}),
+    for lift, allowed in ((trig_lifts["sine"], {1}), (sine_lift("3/100"), {1}),
                           (trig_lifts["fejer theta_3"], {1, 2, 3, 4})):
         counts = {_evaluations(lift, monkeypatch, y)[1] for y in ys}
         assert counts <= allowed, counts
@@ -354,13 +506,41 @@ def test_newton_step_counts(trig_lifts, monkeypatch):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_trig_inverse_rejects_non_finite_y(trig_lifts, bad):
-    lift = trig_lifts["sine"]
-    with pytest.raises(PreconditionError, match=repr(bad)):
+    _assert_rejected(trig_lifts["sine"], bad)
+
+
+@pytest.mark.parametrize("bad", [2.9e307, 1e308, -1e308])
+def test_trig_inverse_rejects_huge_y(trig_lifts, bad):
+    # past degree * 1.8e308 / (8 pi N) the phases 2 pi k x would overflow:
+    # math.cos raised a bare ValueError, and the array form warned and
+    # returned y
+    _assert_rejected(trig_lifts["sine"], bad)
+
+
+def _assert_rejected(lift, bad):
+    with pytest.raises(PreconditionError, match=re.escape(repr(bad))):
         lift.invert_float(bad)
-    with pytest.raises(PreconditionError, match=repr(bad)):
+    with pytest.raises(PreconditionError, match=re.escape(repr(bad))):
         lift.invert_array(np.array([0.25, bad, 1.5]))
-    with pytest.raises(PreconditionError, match=repr(bad)):
+    with pytest.raises(PreconditionError, match=re.escape(repr(bad))):
         invert(lift).eval_float(bad)
+
+
+@pytest.mark.parametrize("lift", [sine_lift("1/100"), TrigPolyLift(3, 0.0, (0.01,), (0.02,)),
+                                  fourier_smooth(TH3, 3, 256)])
+def test_trig_inverse_at_huge_y(lift):
+    # where floats no longer resolve degree*k, the bracket F(0) + degree*k
+    # cannot be walked to one step at a time (9.1e27 needed about 10^12
+    # steps at degree 3); up to the largest y taken, both forms finish
+    # within rounding of each other, with no overflow
+    ys = np.array([9.1e27, -2.9e69, 1e300, lift._y_max, -lift._y_max])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xs = [lift.invert_float(float(y)) for y in ys]
+        xa = lift.invert_array(ys)
+    for y, x, z in zip(ys, xs, xa):
+        assert abs(x - z) <= 1e-14 * abs(x)
+        assert abs(x - y / lift.degree) <= 1e-14 * abs(x)
 
 
 def _forbidden(*args):
