@@ -122,8 +122,9 @@ class TrigPolyLift(MapTree):
     scalar step takes F and F' from one cos/sin pass (_value_slope); the
     array forms, eval_array and invert_array, share one kernel (_series)
     that gives F and F' at a block of points by one matrix product.  A y
-    with |y| above degree * 1.8e308 / (8 pi N), N harmonics, where the
-    phases 2 pi k x would overflow, is a PreconditionError, and so is a
+    with |y| above min(max/4, degree max / (8 pi N)), N harmonics and max
+    = 1.8e308 the largest float, where the phases 2 pi k x or the bracket
+    would come near overflow, is a PreconditionError, and so is a
     non-finite y.
     """
 
@@ -157,8 +158,11 @@ class TrigPolyLift(MapTree):
         self._err_per_x = 2 * _EPS * slope_amplitude
         self._m2 = sum(w ** 2 * (abs(a) + abs(b)) for w, a, b in self._terms)
         self._set_step_bound(slope_amplitude)
-        # the largest |y| the inverse takes: the phases 2 pi k x stay finite
-        self._y_max = degree * (sys.float_info.max / 4) / (2 * math.pi * max(n, 1))
+        # the largest |y| the inverse takes: the phases 2 pi k x, k <= n, stay
+        # below max/4 at x = y/degree, and y itself below max/4, so that
+        # degree*a and y - F(a) on the bracket stay finite too
+        big = sys.float_info.max / 4
+        self._y_max = min(big, degree * (big / (2 * math.pi * max(n, 1))))
         self._deriv_min = None
         wit = self.monotonicity_margin()
         if wit <= 0:
@@ -240,18 +244,19 @@ class TrigPolyLift(MapTree):
 
     def _series(self, xs: np.ndarray) -> np.ndarray:
         """Rows (_periodic(x) - a0, F'(x) - degree) at each x in xs: the table
-        [cos(2 pi k x) | sin(2 pi k x)] times _weights, one matrix product per
-        block of rows; blocks keep the table under _BLOCK elements."""
+        [cos(2 pi k x) | sin(2 pi k x)] of a block of rows times _weights, one
+        matrix product per block; blocks keep the table under _BLOCK elements."""
         n = len(self._wk)
         rows = max(1, _BLOCK // max(1, 2 * n))
-        parts = []
-        for s in range(0, max(1, len(xs)), rows):
+        table = np.empty((min(rows, len(xs)), 2 * n))
+        out = np.empty((len(xs), 2))
+        for s in range(0, len(xs), rows):
             phases = np.multiply.outer(xs[s:s + rows], self._wk)
-            table = np.empty((len(phases), 2 * n))
-            np.cos(phases, out=table[:, :n])
-            np.sin(phases, out=table[:, n:])
-            parts.append(table @ self._weights)
-        return (parts[0] if len(parts) == 1 else np.concatenate(parts)).T
+            block = table[:len(phases)]
+            np.cos(phases, out=block[:, :n])
+            np.sin(phases, out=block[:, n:])
+            out[s:s + rows] = block @ self._weights
+        return out.T
 
     def eval_array(self, xs):
         return self.degree * xs + (self.a0 + self._series(xs)[0])
@@ -368,12 +373,12 @@ class TrigPolyLift(MapTree):
         a += f0 + deg * (a + 1.0) < ys
         starts = self._starts
         cells = len(starts) - 1
-        u = np.minimum(np.maximum((t - a) * cells, 0.0), cells)
+        u = np.clip((t - a) * cells, 0.0, cells)
         i = np.minimum(u.astype(np.intp), cells - 1)
         x = a + (starts[i] + (u - i) * (starts[i + 1] - starts[i]))
         tol = 1e-14 * np.maximum(1.0, np.abs(ys))
         x, a, b, going = self._newton_round(x, ys, a, a + 1.0, tol, True)
-        todo = going.nonzero()[0]
+        todo = np.flatnonzero(going)
         for _ in range(79):
             if not todo.size:
                 break
@@ -397,7 +402,10 @@ class TrigPolyLift(MapTree):
         low = fx < 0
         a, b = np.where(low, x, a), np.where(low, b, x)
         inside = (a <= xn) & (xn <= b) & (xn != x)
-        accept = inside & (self._h2 * (xn - x) ** 2 + self._e0 + self._e1 * np.abs(x) <= tol)
+        # a step inside the bracket moves x by at most 1; one outside it, as
+        # at huge |x| where fx is a rounding error, may overflow when squared
+        step = np.where(inside, xn - x, 0.0)
+        accept = inside & (self._h2 * step ** 2 + self._e0 + self._e1 * np.abs(x) <= tol)
         xn = np.where(inside, xn, 0.5 * (a + b))
         going = ~(stay | accept) & (b - a > FLOAT_INVERSE_WIDTH * np.maximum(1.0, np.abs(xn)))
         return np.where(stay, x, xn), a, b, going

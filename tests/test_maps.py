@@ -263,103 +263,29 @@ def _rounds(lift, monkeypatch, ys) -> tuple:
     return xs, len(calls)
 
 
-def reference_invert_float(lift, y):
-    """invert_float as it was before a Newton step could be accepted on a
-    bound: every answer is an iterate whose own evaluation met the stopping
-    test.  The reference for the bits of both inverse forms."""
-    deg, f0 = lift.degree, lift._f0
-    t = (y - f0) / deg
-    a = math.floor(t)
-    while f0 + deg * a > y:
-        a -= 1
-    while f0 + deg * (a + 1) < y:
-        a += 1
-    a, b = float(a), float(a + 1)
-    starts = lift._starts_view
-    cells = len(starts) - 1
-    u = min(max((t - a) * cells, 0.0), cells)
-    i = min(int(u), cells - 1)
-    x = a + (starts[i] + (u - i) * (starts[i + 1] - starts[i]))
-    tol = 1e-14 * max(1.0, abs(y))
-    for step in range(80):
-        per, slope = lift._value_slope(x)
-        fx = deg * x + per - y
-        d = deg + slope
-        xn = x - fx / d if d > 0 else x
-        if abs(fx) <= tol and (step or xn == x):
-            return x
-        if fx < 0:
-            a = x
-        else:
-            b = x
-        if not (a <= xn <= b) or xn == x:
-            xn = 0.5 * (a + b)
-        x = xn
-        if b - a <= FLOAT_INVERSE_WIDTH * max(1.0, abs(x)):
-            break
-    return x
-
-
-def reference_invert_array(lift, ys):
-    """invert_array as it was before a Newton step could be accepted on a bound."""
-    deg, f0 = lift.degree, lift._f0
-    t = (ys - f0) / deg
-    a = np.floor(t)
-    while (over := f0 + deg * a > ys).any():
-        a[over] -= 1.0
-    while (under := f0 + deg * (a + 1.0) < ys).any():
-        a[under] += 1.0
-    b = a + 1.0
-    starts = lift._starts
-    cells = len(starts) - 1
-    u = np.clip((t - a) * cells, 0.0, cells)
-    i = np.minimum(u.astype(np.intp), cells - 1)
-    x = a + (starts[i] + (u - i) * (starts[i + 1] - starts[i]))
-    tol = 1e-14 * np.maximum(1.0, np.abs(ys))
-    todo = np.arange(len(ys))
-    for step in range(80):
-        if not todo.size:
-            break
-        xt = x[todo]
-        per, slope = lift._series(xt)
-        fx = deg * xt + (lift.a0 + per) - ys[todo]
-        d = deg + slope
-        newton = d > 0
-        xn = np.where(newton, xt - fx / np.where(newton, d, 1.0), xt)
-        going = np.abs(fx) > tol[todo]
-        if not step:
-            going |= xn != xt
-        todo, xt, fx, xn = todo[going], xt[going], fx[going], xn[going]
-        at, bt = np.where(fx < 0, xt, a[todo]), np.where(fx < 0, b[todo], xt)
-        a[todo], b[todo] = at, bt
-        xn = np.where((at <= xn) & (xn <= bt) & (xn != xt), xn, 0.5 * (at + bt))
-        x[todo] = xn
-        todo = todo[bt - at > FLOAT_INVERSE_WIDTH * np.maximum(1.0, np.abs(xn))]
-    return x
-
-
-def _assert_reference_bits(lift, ys):
+def _assert_reference_bits(reference_inverse, lift, ys):
+    invert_float, invert_array = reference_inverse
     ys = np.array(ys, dtype=float)
-    want = [reference_invert_float(lift, float(y)).hex() for y in ys]
+    want = [invert_float(lift, float(y)).hex() for y in ys]
     assert [lift.invert_float(float(y)).hex() for y in ys] == want
-    assert lift.invert_array(ys).tobytes() == reference_invert_array(lift, ys).tobytes()
+    assert lift.invert_array(ys).tobytes() == invert_array(lift, ys).tobytes()
 
 
 @given(amplitude=st.floats(min_value=1e-3, max_value=0.1),
        phase=st.floats(min_value=0, max_value=1),
        ys=st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=8))
 @settings(max_examples=200, deadline=None)
-def test_inverse_bits_match_the_reference_on_sine_lifts(amplitude, phase, ys):
-    t = 2 * math.pi * phase
-    lift = TrigPolyLift(1, 0.0, (-amplitude * math.sin(t),), (amplitude * math.cos(t),))
-    _assert_reference_bits(lift, ys)
+def test_inverse_bits_match_the_reference_on_sine_lifts(reference_inverse, phase_sine_lift,
+                                                       amplitude, phase, ys):
+    _assert_reference_bits(reference_inverse, phase_sine_lift(amplitude, phase), ys)
 
 
 @pytest.mark.parametrize("name", ["sine", "sine 1/20", "fejer theta_2", "fejer theta_3",
                                   "fejer theta_2 (8)", "fejer theta_3 (8)"])
-def test_inverse_bits_match_the_reference_at_the_bracket_edges(trig_lifts, name):
+def test_inverse_bits_match_the_reference_at_the_bracket_edges(reference_inverse, trig_lifts,
+                                                              name):
     lift = trig_lifts[name]
-    _assert_reference_bits(lift, _bracket_edges(lift) + LARGE + [0.3, -2.71, 17.25])
+    _assert_reference_bits(reference_inverse, lift, _bracket_edges(lift) + LARGE + [0.3, -2.71, 17.25])
 
 
 def _accepted_steps(lift, monkeypatch, ys) -> list:
@@ -393,7 +319,7 @@ def test_step_bound_dominates_the_true_residual(amplitude, monkeypatch):
         assert abs(lift.eval_float(xn) - y) <= bound
 
 
-def test_steep_joins_fall_back_to_the_loop(trig_lifts, monkeypatch):
+def test_steep_joins_fall_back_to_the_loop(reference_inverse, trig_lifts, monkeypatch):
     # on the smoothed Theta_3 (8) the bound never accepts a step: the loop
     # evaluates exactly where the reference does, and no more often
     lift = trig_lifts["fejer theta_3 (8)"]
@@ -403,7 +329,7 @@ def test_steep_joins_fall_back_to_the_loop(trig_lifts, monkeypatch):
     assert not _accepted_steps(lift, monkeypatch, ys)
     for y in ys:
         calls = _count_calls(monkeypatch, lift, "_value_slope")
-        reference_invert_float(lift, y)
+        reference_inverse[0](lift, y)
         want = list(calls)
         calls.clear()
         lift.invert_float(y)
@@ -416,14 +342,13 @@ def test_steep_joins_fall_back_to_the_loop(trig_lifts, monkeypatch):
        k=st.integers(min_value=-10**6, max_value=10**6),
        frac=st.floats(min_value=0.05, max_value=0.95))
 @settings(max_examples=80, deadline=None)
-def test_newton_from_the_affine_guess(amplitude, phase, k, frac):
+def test_newton_from_the_affine_guess(phase_sine_lift, amplitude, phase, k, frac):
     # a sine lift moves the inverse by at most its amplitude off the affine
     # guess (y - a0)/degree; the table start is within the interpolation
     # error of the root, so one Newton step lands there and the step bound
     # accepts it, out to |y| = 1e6: one evaluation (none past the start
     # where the start is exact, as at x = 1/2 with phase 0)
-    t = 2 * math.pi * phase
-    lift = TrigPolyLift(1, 0.0, (-amplitude * math.sin(t),), (amplitude * math.cos(t),))
+    lift = phase_sine_lift(amplitude, phase)
     y = lift.eval_float(k + frac)
     with pytest.MonkeyPatch.context() as monkeypatch:
         x, evaluations = _evaluations(lift, monkeypatch, y)
@@ -509,12 +434,25 @@ def test_trig_inverse_rejects_non_finite_y(trig_lifts, bad):
     _assert_rejected(trig_lifts["sine"], bad)
 
 
-@pytest.mark.parametrize("bad", [2.9e307, 1e308, -1e308])
-def test_trig_inverse_rejects_huge_y(trig_lifts, bad):
-    # past degree * 1.8e308 / (8 pi N) the phases 2 pi k x would overflow:
-    # math.cos raised a bare ValueError, and the array form warned and
-    # returned y
-    _assert_rejected(trig_lifts["sine"], bad)
+# lifts of degree >= 5, where degree * max/4 alone overflows, and of degree
+# 30 > 8 pi, where the phase limit degree * max/(8 pi) passes max/4
+HIGH_DEGREE = {"degree 5": TrigPolyLift(5, 0.0, (0.01,), (0.02,)),
+               "fejer theta_5 (8)": fourier_smooth(build_theta(5), 5, 8),
+               "degree 30": TrigPolyLift(30, 0.0, (0.01,), (0.02,))}
+
+
+@pytest.mark.parametrize("name", ["sine", "fejer theta_3", *HIGH_DEGREE])
+def test_trig_inverse_rejects_huge_y(trig_lifts, name):
+    # past min(max/4, degree * max/(8 pi N)), N harmonics, the phases
+    # 2 pi k x or degree*a would overflow: math.cos raised a bare ValueError,
+    # and the array form warned and returned y
+    lift = HIGH_DEGREE[name] if name in HIGH_DEGREE else trig_lifts[name]
+    past = math.nextafter(lift._y_max, math.inf)
+    bads = [y for y in (2.9e307, 1e308, -1e308, past, -past, math.inf, -math.inf, math.nan)
+            if not abs(y) <= lift._y_max]
+    assert len(bads) >= 5
+    for bad in bads:
+        _assert_rejected(lift, bad)
 
 
 def _assert_rejected(lift, bad):
@@ -527,7 +465,7 @@ def _assert_rejected(lift, bad):
 
 
 @pytest.mark.parametrize("lift", [sine_lift("1/100"), TrigPolyLift(3, 0.0, (0.01,), (0.02,)),
-                                  fourier_smooth(TH3, 3, 256)])
+                                  fourier_smooth(TH3, 3, 256), *HIGH_DEGREE.values()])
 def test_trig_inverse_at_huge_y(lift):
     # where floats no longer resolve degree*k, the bracket F(0) + degree*k
     # cannot be walked to one step at a time (9.1e27 needed about 10^12

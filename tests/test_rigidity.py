@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction as F
 
@@ -11,7 +10,6 @@ from lineactions.maps import (AffineMap, TrigPolyLift, build_theta, compose, inv
                               sine_lift)
 from lineactions.rigidity import (ConjugacyResult, _decompose, _shift_conjugate,
                                   detect_nonstandard, solve_conjugacy)
-from test_maps import reference_invert_array, reference_invert_float
 
 
 def standard(n=2):
@@ -149,36 +147,31 @@ def test_result_serialization_and_csv():
     assert len(csv.splitlines()) == len(res.xs) + 1
 
 
-def _phase_lift(amplitude, phase):
-    """x + amplitude sin(2 pi (x - phase))."""
-    t = 2 * math.pi * phase
-    return TrigPolyLift(1, 0.0, (-amplitude * math.sin(t),), (amplitude * math.cos(t),))
-
-
-def _dynamics_outputs(seed):
+def _dynamics_outputs(phase_sine_lift, seed):
     """The solver's, the detector's and a conjugated rotation's outputs on
     inputs drawn as the dynamics benchmark draws them."""
     rng = random.Random(seed)
     n, amplitude, phase = rng.choice((2, 3)), rng.uniform(0.005, 0.02), rng.random()
-    psi = _phase_lift(amplitude, phase)
+    psi = phase_sine_lift(amplitude, phase)
     g = compose(invert(psi), AffineMap(n, 0), psi)
     h = compose(invert(psi), AffineMap(1, 1), psi)
     res = solve_conjugacy(g, h, n, grid_step=1e-2, window=3.0, tol=1e-8)
     q = rng.randint(2, 7)
-    rot = _phase_lift(rng.uniform(0.005, 0.03), rng.random())
+    rot = phase_sine_lift(rng.uniform(0.005, 0.03), rng.random())
     lift = MonotoneRealMap(compose(invert(rot), AffineMap(1, F(rng.randint(1, q - 1), q)), rot), 1)
     return ((res.phi.tobytes(), res.x_star, res.iterations, res.residual_g, res.residual_h),
             detect_nonstandard(g, h, n), translation_number_estimate(lift, rng.random(), 2000))
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_dynamics_outputs_match_the_reference_inverse(seed, monkeypatch):
+def test_dynamics_outputs_match_the_reference_inverse(reference_inverse, phase_sine_lift,
+                                                      seed, monkeypatch):
     # accepting a Newton step on its bound returns the iterate the full loop
     # would return, so every output downstream of the inverse keeps its bits
-    got = _dynamics_outputs(seed)
-    monkeypatch.setattr(TrigPolyLift, "invert_float", reference_invert_float)
-    monkeypatch.setattr(TrigPolyLift, "invert_array", reference_invert_array)
-    assert got == _dynamics_outputs(seed)
+    got = _dynamics_outputs(phase_sine_lift, seed)
+    monkeypatch.setattr(TrigPolyLift, "invert_float", reference_inverse[0])
+    monkeypatch.setattr(TrigPolyLift, "invert_array", reference_inverse[1])
+    assert got == _dynamics_outputs(phase_sine_lift, seed)
 
 
 def test_one_decomposition_of_both_point_sets():
