@@ -236,8 +236,7 @@ def _inclusion_checks(act: BSAction):
     """(fact id, map, source window, translate k, target window, modulus)."""
     m, n = act.m, act.n
     w = PingPongTable.windows_for(act.a)
-    gn, gm = act.g_n, act.g_m
-    gn_inv, gm_inv = invert(gn), invert(gm)
+    gn, gm, gn_inv, gm_inv = act.g_n, act.g_m, act.g_n_inv, act.g_m_inv
     checks = []
     for k in range(1, n):
         checks.append(("eqn1", f"g_n^-1(A+{k})", gn_inv, w["A"], k, w["A^u"], 1))

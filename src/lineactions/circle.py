@@ -7,10 +7,15 @@ number.  The audits check, on sampled interval maps, the fixed-set
 consequences that hold for commuting C^2 diffeomorphisms and for pairs
 satisfying an aba-type relation; smoothness itself is never verified and
 every report carries that caveat.
+
+Every verdict on a lift, for exact and float trees alike, compares the
+enclosures of eval_exact read exactly (Enclosure.rational_ends), with no
+float tolerance.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,12 +39,11 @@ SMOOTHNESS_CAVEAT = ("finite sample data cannot certify a smoothness class; "
 class MonotoneRealMap:
     """A strictly increasing lift with integer equivariance degree.
 
-    Wraps a map tree; construction checks monotonicity and the equivariance
-    rule F(x+1) - F(x) = degree on a sample set (exactly where the enclosures
-    are exact, to 1e-12 where they are floats or cubic inverses).
+    Wraps a map tree.  Construction encloses F at the samples x = k/7,
+    -1 <= x <= 1, and at each x + 1, and rejects the lift where the
+    enclosures prove F(x + 1) - F(x) != degree, or fail to prove F
+    increasing along the samples.
     """
-
-    EQUIVARIANCE_TOL = 1e-12
 
     def __init__(self, tree: MapTree, degree: int, label: str = ""):
         if degree < 1:
@@ -51,18 +55,15 @@ class MonotoneRealMap:
 
     def _check(self):
         samples = [Fraction(k, 7) for k in range(-7, 8)]
-        values = [self.tree.eval_exact(x) for x in samples]
-        shifted = [self.tree.eval_exact(x + 1) for x in samples]
-        for x, v, s in zip(samples, values, shifted):
-            if v.exact and s.exact:
-                if s.lo - v.lo != self.degree:
-                    raise RepresentationError(
-                        f"equivariance violated at x={x}: F(x+1)-F(x)={s.lo - v.lo}")
-            elif abs(s.mid - v.mid - self.degree) > self.EQUIVARIANCE_TOL:
-                raise RepresentationError(f"equivariance violated at x={x}")
-        mids = [v.mid for v in values]
-        for a, b in zip(mids, mids[1:]):
-            if not a < b:
+        ends = [self.tree.eval_exact(x).rational_ends for x in samples]
+        shifted = [self.tree.eval_exact(x + 1).rational_ends for x in samples]
+        for x, (lo, hi), (lo1, hi1) in zip(samples, ends, shifted):
+            if not lo1 - hi <= self.degree <= hi1 - lo:
+                raise RepresentationError(
+                    f"equivariance violated at x={x}: F(x+1)-F(x) lies in "
+                    f"[{float(lo1 - hi)!r}, {float(hi1 - lo)!r}]")
+        for (_, hi), (lo, _) in zip(ends, ends[1:]):
+            if not hi < lo:
                 raise RepresentationError("map is not strictly increasing on samples")
 
     def eval_float(self, x: float) -> float:
@@ -70,14 +71,6 @@ class MonotoneRealMap:
 
     def eval_exact(self, x: Num) -> Enclosure:
         return self.tree.eval_exact(x)
-
-    def circle_image(self, x: Fraction) -> Fraction:
-        """F(x) mod 1 for exact x (uses the enclosure midpoint if inexact)."""
-        enc = self.tree.eval_exact(x)
-        if enc.exact:
-            return enc.lo - math.floor(enc.lo)
-        v = Fraction(enc.mid)
-        return v - math.floor(v)
 
     def __repr__(self):
         return f"MonotoneRealMap(degree={self.degree}, label={self.label!r})"
@@ -178,17 +171,11 @@ class AtomicCircleMeasure:
             raise RepresentationError(f"weights sum to {total}, expected 1")
         self.atoms = tuple(cleaned)
 
-    def positions(self) -> list[Fraction]:
-        return [p for p, _ in self.atoms]
-
     @staticmethod
     def uniform(positions: Sequence) -> "AtomicCircleMeasure":
         pts = [rat(p) for p in positions]
         w = Fraction(1, len(pts))
         return AtomicCircleMeasure([(p, w) for p in pts])
-
-    def to_json(self) -> dict:
-        return {"atoms": [[rat_str(p), rat_str(w)] for p, w in self.atoms]}
 
     def __repr__(self):
         return f"AtomicCircleMeasure({len(self.atoms)} atoms)"
@@ -203,72 +190,59 @@ def nu(mu: AtomicCircleMeasure, x: Num, y: Num) -> Fraction:
     return total
 
 
-def check_invariance(F: MonotoneRealMap, mu: AtomicCircleMeasure,
-                     tol: float = 1e-12) -> None:
-    """Raise PreconditionError naming the moved atom if mu is not F-invariant."""
-    positions = mu.positions()
-    weights = {p: w for p, w in mu.atoms}
-    for p, w in mu.atoms:
-        q = F.circle_image(p)
-        if q in weights:
-            if weights[q] != w:
-                raise PreconditionError(
-                    f"measure not invariant: atom {rat_str(p)} (weight {rat_str(w)}) "
-                    f"maps onto atom {rat_str(q)} of weight {rat_str(weights[q])}")
-            continue
-        near = min(positions, key=lambda r: abs(float(r) - float(q)))
-        if abs(float(near) - float(q)) <= tol and weights[near] == w:
-            continue
-        raise PreconditionError(
-            f"measure not invariant: atom {rat_str(p)} moves to {float(q):.12g}, "
-            "not an atom of equal weight")
-
-
 def mean_translation_number(F: MonotoneRealMap, mu: AtomicCircleMeasure,
                             x: Optional[Num] = None) -> Fraction:
-    """nu(x, F(x)) for the lifted measure; checked independent of x.
+    """nu(x, F(x)) for an F-invariant atomic measure mu; checked independent of x.
 
-    Evaluates at every atom and at one non-atom and requires exact agreement,
-    then returns the common value.
+    F is enclosed once at each atom, at one non-atom and at x if given.  An
+    atom's enclosure must hold exactly one lifted atom, of the atom's
+    weight, which is then F there; none, or one of another weight, proves
+    mu not invariant.  nu(x, .) must agree at both ends of each enclosure,
+    and all values must be equal; the common value is returned.
     """
     if F.degree != 1:
         raise RepresentationError("mean translation number needs a degree-1 lift")
-    check_invariance(F, mu)
-
-    def value_at(pt: Fraction) -> Fraction:
-        enc = F.eval_exact(pt)
-        if enc.exact:
-            return nu(mu, pt, enc.lo)
-        lo, hi = nu(mu, pt, Fraction(enc.lo)), nu(mu, pt, Fraction(enc.hi))
-        if lo != hi:
+    weights = dict(mu.atoms)
+    non_atom = Fraction(1, 2)
+    while non_atom in weights:
+        non_atom = (non_atom + Fraction(1, 257)) % 1
+    values = set()
+    for pt in [*weights, non_atom, *([] if x is None else [rat(x)])]:
+        lo, hi = F.eval_exact(pt).rational_ends
+        w = weights.get(pt % 1)
+        if w is not None:
+            # the lifted atoms in [lo, hi], up to two
+            hits = list(itertools.islice((q + k for q in weights for k in range(
+                math.ceil(lo - q), math.floor(hi - q) + 1)), 2))
+            if len(hits) == 1 and weights[hits[0] % 1] == w:
+                lo = hi = hits[0]
+            elif len(hits) < 2:
+                raise PreconditionError(
+                    f"measure not invariant: F({rat_str(pt)}) lies in [{float(lo)!r}, "
+                    f"{float(hi)!r}], which holds no atom of weight {rat_str(w)}")
+        value = nu(mu, pt, lo)
+        if nu(mu, pt, hi) != value:
             raise PreconditionError(
                 f"image of {rat_str(pt)} is enclosed too loosely to count atoms")
-        return lo
-
-    test_points = list(mu.positions())
-    non_atom = Fraction(1, 2)
-    while non_atom in set(test_points):
-        non_atom = (non_atom + Fraction(1, 257)) % 1
-    test_points.append(non_atom)
-    if x is not None:
-        test_points.append(rat(x))
-    values = [value_at(p) for p in test_points]
-    if len(set(values)) != 1:
-        raise PreconditionError(f"nu(x, F(x)) depends on x: {sorted(set(values))}")
-    return values[0]
+        values.add(value)
+    if len(values) != 1:
+        raise PreconditionError(f"nu(x, F(x)) depends on x: {sorted(values)}")
+    return values.pop()
 
 
 def equal_on_support_check(F: MonotoneRealMap, G: MonotoneRealMap,
-                           mu: AtomicCircleMeasure, tol: float = 1e-12) -> dict:
-    """Corollary check: measure-preserving lifts with equal tau_mu agree on supp(mu)."""
+                           mu: AtomicCircleMeasure) -> dict:
+    """Corollary check: measure-preserving lifts with equal tau_mu agree on
+    supp(mu).  An atom is a mismatch where the enclosures of F and G there
+    are disjoint."""
     tf, tg = mean_translation_number(F, mu), mean_translation_number(G, mu)
     finding = {"tau_mu_F": rat_str(tf), "tau_mu_G": rat_str(tg),
                "applicable": tf == tg, "mismatches": []}
     if tf != tg:
         return finding
     for p, _ in mu.atoms:
-        vf, vg = F.eval_exact(p), G.eval_exact(p)
-        if abs(vf.mid - vg.mid) > tol:
+        (f_lo, f_hi), (g_lo, g_hi) = F.eval_exact(p).rational_ends, G.eval_exact(p).rational_ends
+        if f_hi < g_lo or g_hi < f_lo:
             finding["mismatches"].append(rat_str(p))
     return finding
 
@@ -360,10 +334,6 @@ def fixed_components(f: SampledIntervalMap, tol: float) -> list[tuple[float, flo
     return comps
 
 
-def _boundary_points(components):
-    return sorted({end for component in components for end in component})
-
-
 def audit_commuting_fixsets(f: SampledIntervalMap, g: SampledIntervalMap,
                             tol: float = 1e-9) -> AuditReport:
     """Check the commuting-diffeomorphism fixed-set consequences on samples.
@@ -388,7 +358,7 @@ def audit_commuting_fixsets(f: SampledIntervalMap, g: SampledIntervalMap,
     report.findings["fix_g_components"] = comps_g
 
     for name, comps, other in (("f", comps_f, g), ("g", comps_g, f)):
-        for b in _boundary_points(comps):
+        for b in sorted({end for component in comps for end in component}):
             if abs(float(other(b)) - b) > tol:
                 report.violations.append(
                     {"check": "boundary_in_other_fix", "map": name, "location": b,

@@ -50,6 +50,22 @@ def action_from_file(path) -> BSAction:
     return BSAction.from_json(load_json(path))
 
 
+def _flag(args, name: str, parse=rat, count: int = 0):
+    """parse(args.<name>), or the list of its count comma-separated values
+    parsed: the one reading of a number flag; a malformed value raises
+    PreconditionError naming the flag."""
+    value = getattr(args, name)
+    try:
+        if not count:
+            return parse(value)
+        values = [parse(v) for v in value.split(",")]
+        if len(values) == count:
+            return values
+        raise ValueError(f"expected {count} comma-separated values")
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise PreconditionError(f"bad --{name} {value!r} ({exc})") from None
+
+
 def load_interval_map(path) -> SampledIntervalMap:
     xs, ys = read_csv_pairs(path)
     return SampledIntervalMap([float(x) for x in xs], [float(y) for y in ys],
@@ -109,7 +125,8 @@ def pipeline_bs12_oracle(max_letters: int, random_pairs: int = 20000,
             if w.syllables not in seen:
                 seen[w.syllables] = w
                 order.append(w)
-    short_words = [w for w in order if len(_letters_of(w)) <= pair_radius]
+    # t-syllables carry exponent +-1, so a word has sum |exponent| letters
+    short_words = [w for w in order if sum(abs(e) for _, e in w.syllables) <= pair_radius]
 
     disagreements = []
     classes: dict[tuple, BSWord] = {}
@@ -149,16 +166,6 @@ def pipeline_bs12_oracle(max_letters: int, random_pairs: int = 20000,
             "disagreement_count": len(disagreements),
             "passed": not disagreements,
             "elapsed_s": round(time.time() - t0, 3)}
-
-
-def _letters_of(w: BSWord):
-    out = []
-    for kind, exp in w.syllables:
-        if kind == 't':
-            out.append((kind, exp))
-        else:
-            out.extend([(kind, 1 if exp > 0 else -1)] * abs(exp))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +276,17 @@ def _dispatch(args) -> tuple[dict, int]:
         tree = load_map(args.map)
         degree = getattr(tree, "degree", 1)
         lift = MonotoneRealMap(tree, degree if isinstance(degree, int) else 1)
-        est = translation_number_estimate(lift, rat(args.x0), args.iters,
+        # the orbit runs in floats: an x0 past the float range is malformed
+        x0 = _flag(args, "x0", lambda v: float(rat(v)))
+        est = translation_number_estimate(lift, x0, args.iters,
                                           richardson=args.richardson)
         return {"subcommand": "rotnum", **est.to_json()}, 0
 
     if cmd == "meantrans":
-        tree = load_map(args.map)
-        lift = MonotoneRealMap(tree, 1)
-        mu = AtomicCircleMeasure([(a, w) for a, w in load_json(args.measure)["atoms"]])
-        value = mean_translation_number(lift, mu, args.x)
+        lift = MonotoneRealMap(load_map(args.map), 1)
+        mu = AtomicCircleMeasure(read_field(load_json(args.measure), "atoms",
+                                            lambda atoms: [(rat(a), rat(w)) for a, w in atoms]))
+        value = mean_translation_number(lift, mu, None if args.x is None else _flag(args, "x"))
         return {"subcommand": "meantrans", "tau_mu": rat_str(value)}, 0
 
     if cmd == "audit-commute":
@@ -287,10 +296,10 @@ def _dispatch(args) -> tuple[dict, int]:
         return {"subcommand": "audit-commute", **report.to_json()}, code
 
     if cmd == "audit-aba":
-        expo = tuple(int(v) for v in args.exponents.split(","))
-        lo, hi = (float(rat(v)) for v in args.interval.split(","))
+        expo = tuple(_flag(args, "exponents", int, 6))
+        interval = _flag(args, "interval", lambda v: float(rat(v)), 2)
         report = audit_aba(load_interval_map(args.a), load_interval_map(args.b),
-                           expo, (lo, hi), args.tol)
+                           expo, interval, args.tol)
         code = 0 if report.verdict != "violation" else 4
         return {"subcommand": "audit-aba", **report.to_json()}, code
 
@@ -312,7 +321,7 @@ def _dispatch(args) -> tuple[dict, int]:
                 raise PreconditionError("--action-file is required")
             act = action_from_file(args.action_file)
             summary = pipeline_faithfulness(act, args.max_syllables,
-                                            args.exponent_bound, rat(args.x0))
+                                            args.exponent_bound, _flag(args, "x0"))
             return {"subcommand": "pipeline faithfulness", **summary}, 0
         summary = pipeline_bs12_oracle(args.max_letters, seed=args.seed)
         return ({"subcommand": "pipeline bs12-oracle", **summary},
@@ -356,7 +365,7 @@ def _words_cmd(args) -> tuple[dict, int]:
 
 def _bs_cmd(args) -> tuple[dict, int]:
     if args.action == "construct":
-        act = build_action(args.m, args.n, rat(args.a),
+        act = build_action(args.m, args.n, _flag(args, "a"),
                            fourier_harmonics=args.fourier_harmonics)
         # the report IS the action file: `--out action.json` stores it
         report = {"subcommand": "bs construct",
@@ -384,7 +393,7 @@ def _bs_cmd(args) -> tuple[dict, int]:
     if args.action == "certify":
         w = BSWord.parse(act.m, act.n, args.word)
         nf = reduce(w)
-        cert = certify_word(act, nf, rat(args.x0))
+        cert = certify_word(act, nf, _flag(args, "x0"))
         code = 0 if cert.verdict == "nontrivial" else 3
         return {"subcommand": "bs certify", **cert.to_json()}, code
     if args.action == "fixed-point":

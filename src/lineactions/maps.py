@@ -125,7 +125,8 @@ class TrigPolyLift(MapTree):
     with |y| above min(max/4, degree max / (8 pi N)), N harmonics and max
     = 1.8e308 the largest float, where the phases 2 pi k x or the bracket
     would come near overflow, is a PreconditionError, and so is a
-    non-finite y.
+    non-finite y; so, in eval_float, eval_array and eval_enclosure, is an x
+    with |x| above that bound over degree, or a non-finite x.
     """
 
     def __init__(self, degree: int, a0: float = 0.0,
@@ -160,9 +161,11 @@ class TrigPolyLift(MapTree):
         self._set_step_bound(slope_amplitude)
         # the largest |y| the inverse takes: the phases 2 pi k x, k <= n, stay
         # below max/4 at x = y/degree, and y itself below max/4, so that
-        # degree*a and y - F(a) on the bracket stay finite too
+        # degree*a and y - F(a) on the bracket stay finite too; F takes |x|
+        # up to that bound over degree
         big = sys.float_info.max / 4
         self._y_max = min(big, degree * (big / (2 * math.pi * max(n, 1))))
+        self._x_max = self._y_max / degree
         self._deriv_min = None
         wit = self.monotonicity_margin()
         if wit <= 0:
@@ -227,6 +230,9 @@ class TrigPolyLift(MapTree):
         return s
 
     def eval_float(self, x):
+        # one comparison rejects NaN, +-inf and a |x| whose phases overflow
+        if not abs(x) <= self._x_max:
+            raise PreconditionError(f"cannot evaluate a trig lift at x = {x!r}")
         return self.degree * x + self._periodic(x)
 
     def _value_slope(self, x: float) -> tuple:
@@ -259,6 +265,8 @@ class TrigPolyLift(MapTree):
         return out.T
 
     def eval_array(self, xs):
+        if not np.abs(xs).max(initial=0.0) <= self._x_max:
+            self.eval_float(float(xs[~(np.abs(xs) <= self._x_max)][0]))  # raises
         return self.degree * xs + (self.a0 + self._series(xs)[0])
 
     # least pad of the enclosure, kept as the floor of the derived pad
@@ -314,13 +322,9 @@ class TrigPolyLift(MapTree):
                         + _EPS * (2 * amp + deg + (n + 3) * slope_amplitude + 2 * d))
         self._e1 = 2 * (2 * per_x + _EPS * (2 * deg + 2 * self._m2 + d / 2))
 
-    def _check_inverse_domain(self, y: float) -> None:
-        # one comparison rejects NaN, +-inf and a |y| whose phases overflow
+    def invert_float(self, y: float) -> float:
         if not abs(y) <= self._y_max:
             raise PreconditionError(f"cannot invert a trig lift at y = {y!r}")
-
-    def invert_float(self, y: float) -> float:
-        self._check_inverse_domain(y)
         # the one-period bracket F(a) <= y <= F(a + 1), F(a) = F(0) + degree*a;
         # one move of a either way corrects the floor wherever floats resolve
         # degree*a (|y| < 2^51 degree), and past that y may miss the closed
@@ -365,7 +369,7 @@ class TrigPolyLift(MapTree):
         and stopping tests, run on arrays.  Round 0 runs on whole arrays;
         later rounds gather the elements that have not stopped."""
         if not np.abs(ys).max(initial=0.0) <= self._y_max:
-            self._check_inverse_domain(float(ys[~(np.abs(ys) <= self._y_max)][0]))
+            self.invert_float(float(ys[~(np.abs(ys) <= self._y_max)][0]))  # raises
         deg, f0 = self.degree, self._f0
         t = (ys - f0) / deg
         a = np.floor(t)

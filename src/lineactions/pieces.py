@@ -373,9 +373,6 @@ class FundamentalDomainMap(MapTree):
     def eval_exact_point(self, x: Rat) -> Rat:
         k = math.floor(x - self.x_lo)
         xr = x - k
-        if xr == self.x_lo + 1:  # guard against Fraction floor edge
-            k += 1
-            xr -= 1
         return self.pieces[self._index(self._breaks_exact, xr)].eval(xr) + self.degree * k
 
     def eval_float(self, x):
@@ -408,9 +405,6 @@ class FundamentalDomainMap(MapTree):
         """(k, yr, piece) with y = yr + degree k and yr among the piece's values."""
         k = math.floor((y - self.value_lo) / self.degree)
         yr = y - self.degree * k
-        if yr == self.value_lo + self.degree:
-            k += 1
-            yr -= self.degree
         return k, yr, self.pieces[self._index(self._value_breaks, yr)]
 
     def invert_exact(self, y_lo: Rat, y_hi: Rat, width: Fraction) -> tuple[Rat, Rat]:

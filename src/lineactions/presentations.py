@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
+from .maps import read_field
 
 FreeWord = tuple[int, ...]  # nonzero indices; -i is the inverse of e_i
 
@@ -272,12 +273,25 @@ class PresentationSchema:
 
     @staticmethod
     def from_json(data: dict) -> "PresentationSchema":
+        """The schema to_json wrote; a missing or malformed field raises
+        PreconditionError naming it."""
         return PresentationSchema(
-            data["name"], list(data["generators"]),
-            [tuple(p) for p in data.get("commuting", [])],
-            [tuple(p) for p in data.get("braid", [])],
-            [tuple(c) for c in data.get("commutator_identities", [])],
-            list(data.get("notes", [])))
+            read_field(data, "name", str), read_field(data, "generators", _labels),
+            read_field(data, "commuting", _pairs, []), read_field(data, "braid", _pairs, []),
+            read_field(data, "commutator_identities",
+                       lambda rows: [(*_labels([x, y, t]), int(e)) for x, y, t, e in rows], []),
+            read_field(data, "notes", _labels, []))
+
+
+def _labels(values) -> list:
+    """A JSON list of strings; a bare string is not read as its letters."""
+    if isinstance(values, str) or not all(isinstance(v, str) for v in values):
+        raise TypeError("expected a list of strings")
+    return list(values)
+
+
+def _pairs(rows) -> list:
+    return [(x, y) for x, y in map(_labels, rows)]
 
 
 def mc_schema(n: int) -> PresentationSchema:

@@ -21,9 +21,16 @@ def emit_json(data, path=None) -> str:
     return text
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"cannot read {path} ({type(exc).__name__})") from None
+
+
 def load_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise PreconditionError(f"{path} is not valid JSON: {exc}") from None
 
@@ -43,15 +50,17 @@ def load_map(path) -> MapTree:
 
 def read_csv_pairs(path) -> tuple[list, list]:
     xs, ys = [], []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#") or line.lower().startswith("x"):
             continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 2:
-            raise PreconditionError(f"bad CSV row {line!r}")
-        xs.append(rat(parts[0]))
-        ys.append(rat(parts[1]))
+        try:
+            x, y = (rat(cell) for cell in line.split(","))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise PreconditionError(
+                f"{path}, line {number}: bad CSV row {line!r} ({exc})") from None
+        xs.append(x)
+        ys.append(y)
     if len(xs) < 2:
         raise PreconditionError("CSV grid needs at least two samples")
     return xs, ys

@@ -182,6 +182,51 @@ def test_invariance_error_names_the_atom():
         mean_translation_number(per3, bad)
 
 
+def test_near_invariant_rotation_is_not_invariant():
+    # the rotation moves each atom 10^-15 off the other: exactly no atom
+    near_half = rigid_rotation(F(1, 2) - F(1, 10**15))
+    mu = AtomicCircleMeasure.uniform([F(1, 4), F(3, 4)])
+    with pytest.raises(PreconditionError, match="not invariant"):
+        mean_translation_number(near_half, mu)
+
+
+def test_lift_checks_on_float_trees():
+    psi = sine_lift("1/100")
+    half, quarter, stretch = (compose(invert(psi), f, psi) for f in (
+        AffineMap(1, F(1, 2)), AffineMap(1, F(1, 4)), AffineMap(F(101, 100), 0)))
+    lift = MonotoneRealMap(half, 1)
+    with pytest.raises(RepresentationError, match="equivariance"):
+        MonotoneRealMap(half, 2)
+    with pytest.raises(RepresentationError, match="equivariance"):
+        MonotoneRealMap(stretch, 1)
+    # the sine lift fixes 0 and 1/2, so the conjugated half turn swaps them;
+    # each float enclosure holds one lifted atom, which is then F there
+    mu = AtomicCircleMeasure.uniform([0, F(1, 2)])
+    assert lift.eval_exact(0).width > 0
+    assert mean_translation_number(lift, mu) == F(1, 2)
+    assert mean_translation_number(lift, mu, F(1, 3)) == F(1, 2)
+    finding = equal_on_support_check(lift, rigid_rotation(F(1, 2)), mu)
+    assert finding["applicable"] and finding["mismatches"] == []
+    # a quarter turn moves the atoms to 1/4 and 3/4, outside every enclosure
+    with pytest.raises(PreconditionError, match="not invariant"):
+        mean_translation_number(MonotoneRealMap(quarter, 1), mu)
+
+
+def test_mean_translation_encloses_once_per_point(monkeypatch):
+    per3, atoms = period3_attracting_map()
+    mu = AtomicCircleMeasure.uniform(atoms)
+    calls = []
+    leaf = type(per3.tree)
+    enclose = leaf.eval_enclosure
+    monkeypatch.setattr(leaf, "eval_enclosure",
+                        lambda self, enc, *rest: calls.append(enc) or enclose(self, enc, *rest))
+    assert mean_translation_number(per3, mu) == F(1, 3)
+    assert len(calls) == len(atoms) + 1
+    calls.clear()
+    assert mean_translation_number(per3, mu, F(1, 5)) == F(1, 3)
+    assert len(calls) == len(atoms) + 2
+
+
 def test_equal_on_support_check():
     mu = AtomicCircleMeasure([(F(0), F(1, 2)), (F(1, 2), F(1, 2))])
     f = rigid_rotation(F(1, 2))

@@ -342,3 +342,46 @@ def test_action_file_that_is_not_json_exits_2(tmp_path, capsys):
     path.write_text("{'n': 2,")
     assert cli.main(["rigidity", "detect", "--action-file", str(path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+ROTATION = {"kind": "affine", "slope": "1", "offset": "1/2"}
+MEASURE = ["meantrans", "--map", "rot.json", "--measure", "mu.json"]
+AUDIT_ABA = ["audit-aba", "--a", "id.csv", "--b", "id.csv"]
+
+
+# (files to write, arguments, text the error message must hold)
+@pytest.mark.parametrize("files, argv, names", [
+    ({"s.json": {"generators": ["x"]}}, ["presentations", "commgraph", "s.json"], "'name'"),
+    ({"s.json": {"name": "s", "generators": "xy"}},
+     ["presentations", "commgraph", "s.json"], "'generators'"),
+    ({"rot.json": ROTATION, "mu.json": {}}, MEASURE, "'atoms'"),
+    ({"rot.json": ROTATION, "mu.json": {"atoms": [["0", "1/2", "1"]]}}, MEASURE, "'atoms'"),
+    ({"grid.csv": "x,y\n0,0\nabc,1\n"}, ["rotnum", "--map", "grid.csv"], "grid.csv, line 3"),
+    ({"grid.csv": "0,0\n1/0,1\n"}, ["rotnum", "--map", "grid.csv"], "grid.csv, line 2"),
+    ({}, ["rotnum", "--map", "missing.json"], "missing.json"),
+    ({"folder": None}, ["rotnum", "--map", "folder"], "folder"),
+    ({}, ["bs", "certify", "act.json", "--word", "a", "--x0", "abc"], "--x0"),
+    ({"rot.json": ROTATION}, ["rotnum", "--map", "rot.json", "--x0", "1e999"], "--x0"),
+    ({"id.csv": "0,0\n1,1\n"}, AUDIT_ABA + ["--exponents", "1,x", "--interval", "0,1"],
+     "--exponents"),
+    ({"id.csv": "0,0\n1,1\n"}, AUDIT_ABA + ["--exponents", "1,1,1,1,1,1",
+                                            "--interval", "0.4,x"], "--interval"),
+    ({"sine.json": {"kind": "sine_lift", "amplitude": "1/100"}},
+     ["rotnum", "--map", "sine.json", "--x0", "1e308", "--iters", "10"], "x = 1e+308"),
+], ids=["schema-no-name", "schema-string-generators", "measure-no-atoms", "atom-of-three",
+        "csv-abc", "csv-1/0", "missing-file", "directory", "x0-abc", "x0-1e999", "exponents-1,x",
+        "interval-0.4,x", "trig-x0-1e308"])
+def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, files, argv, names):
+    monkeypatch.chdir(tmp_path)
+    if "act.json" in argv:
+        assert cli.main(["bs", "construct", "act.json", "--m", "2", "--n", "3"]) == 0
+    for name, content in files.items():
+        if content is None:
+            (tmp_path / name).mkdir()
+        else:
+            text = content if isinstance(content, str) else json.dumps(content)
+            (tmp_path / name).write_text(text)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition error") and names in err

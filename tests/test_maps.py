@@ -481,6 +481,26 @@ def test_trig_inverse_at_huge_y(lift):
         assert abs(x - y / lift.degree) <= 1e-14 * abs(x)
 
 
+@pytest.mark.parametrize("name", ["sine", "fejer theta_3", *HIGH_DEGREE])
+def test_trig_lift_rejects_huge_x(trig_lifts, name):
+    # past _y_max / degree the phases 2 pi k x overflow: math.cos raised a
+    # bare ValueError in eval_float and eval_enclosure, and eval_array warned
+    lift = HIGH_DEGREE[name] if name in HIGH_DEGREE else trig_lifts[name]
+    forms = (lift.eval_float, lambda x: lift.eval_enclosure(Enclosure.point(x)),
+             lambda x: lift.eval_array(np.array([0.25, x])))
+    past = math.nextafter(lift._x_max, math.inf)
+    for bad in (1e308, -1e308, past, -past, math.inf, -math.inf, math.nan):
+        for form in forms:
+            with pytest.raises(PreconditionError, match=re.escape(f"x = {bad!r}")):
+                form(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (lift._x_max, -lift._x_max):
+            enc = lift.eval_enclosure(Enclosure.point(x))
+            values = [lift.eval_float(x), enc.lo, enc.hi, *lift.eval_array(np.array([x]))]
+            assert all(math.isfinite(v) for v in values)
+
+
 def _forbidden(*args):
     raise AssertionError("the trig inverse evaluated F outside its Newton steps")
 
