@@ -8,9 +8,10 @@ consequences that hold for commuting C^2 diffeomorphisms and for pairs
 satisfying an aba-type relation; smoothness itself is never verified and
 every report carries that caveat.
 
-Every verdict on a lift, for exact and float trees alike, compares the
-enclosures of eval_exact read exactly (Enclosure.rational_ends), with no
-float tolerance.
+A lift's degree is proved from its tree's structure (MonotoneRealMap).
+Every other verdict on a lift, for exact and float trees alike, compares
+the enclosures of eval_exact read exactly (Enclosure.rational_ends), with
+no float tolerance.
 """
 
 from __future__ import annotations
@@ -39,32 +40,27 @@ SMOOTHNESS_CAVEAT = ("finite sample data cannot certify a smoothness class; "
 class MonotoneRealMap:
     """A strictly increasing lift with integer equivariance degree.
 
-    Wraps a map tree.  Construction encloses F at the samples x = k/7,
-    -1 <= x <= 1, and at each x + 1, and rejects the lift where the
-    enclosures prove F(x + 1) - F(x) != degree, or fail to prove F
-    increasing along the samples.
+    Wraps a map tree and takes no enclosure: each node's exact rule
+    F(x + q) = F(x) + q' (MapTree.shift_image) carries the shift 1 through
+    the tree, and the result must be the declared degree.  Monotonicity
+    rests on the leaves' construction checks (positive slopes,
+    Fritsch-Carlson cubic joins, the trig-lift derivative margin), which
+    compositions, inverses and conjugates keep; the trig-lift margin is not
+    yet a certificate (TrigPolyLift.monotonicity_margin, ROADMAP.md,
+    Direction 5).
     """
 
-    def __init__(self, tree: MapTree, degree: int, label: str = ""):
-        if degree < 1:
-            raise RepresentationError(f"degree must be >= 1, got {degree}")
-        self.tree = tree
-        self.degree = degree
-        self.label = label
-        self._check()
-
-    def _check(self):
-        samples = [Fraction(k, 7) for k in range(-7, 8)]
-        ends = [self.tree.eval_exact(x).rational_ends for x in samples]
-        shifted = [self.tree.eval_exact(x + 1).rational_ends for x in samples]
-        for x, (lo, hi), (lo1, hi1) in zip(samples, ends, shifted):
-            if not lo1 - hi <= self.degree <= hi1 - lo:
-                raise RepresentationError(
-                    f"equivariance violated at x={x}: F(x+1)-F(x) lies in "
-                    f"[{float(lo1 - hi)!r}, {float(hi1 - lo)!r}]")
-        for (_, hi), (lo, _) in zip(ends, ends[1:]):
-            if not hi < lo:
-                raise RepresentationError("map is not strictly increasing on samples")
+    def __init__(self, tree: MapTree, degree: Optional[Num], label: str = ""):
+        shift = tree.shift_image(1)
+        if shift is None:
+            raise RepresentationError("equivariance not proved: the tree's structure "
+                                      "gives no constant F(x + 1) - F(x)")
+        if shift != degree:
+            raise RepresentationError(
+                f"equivariance violated: F(x + 1) - F(x) = {rat_str(shift)}, not {degree}")
+        if shift < 1 or shift.denominator != 1:
+            raise RepresentationError(f"degree must be an integer >= 1, got {rat_str(shift)}")
+        self.tree, self.degree, self.label = tree, int(shift), label
 
     def eval_float(self, x: float) -> float:
         return self.tree.eval_float(x)
@@ -318,20 +314,9 @@ class AuditReport:
 
 def fixed_components(f: SampledIntervalMap, tol: float) -> list[tuple[float, float]]:
     """Components of {|f(x) - x| <= tol} as grid intervals (may be single points)."""
-    mask = np.abs(f.ys - f.xs) <= tol
-    comps = []
-    i = 0
-    n = len(mask)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            comps.append((float(f.xs[i]), float(f.xs[j])))
-            i = j + 1
-        else:
-            i += 1
-    return comps
+    # the runs of grid points within tol start and end where the padded mask flips
+    flips = np.flatnonzero(np.diff(np.abs(f.ys - f.xs) <= tol, prepend=False, append=False))
+    return [(float(f.xs[i]), float(f.xs[j - 1])) for i, j in zip(flips[::2], flips[1::2])]
 
 
 def audit_commuting_fixsets(f: SampledIntervalMap, g: SampledIntervalMap,

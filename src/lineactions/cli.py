@@ -274,8 +274,7 @@ def _dispatch(args) -> tuple[dict, int]:
     cmd = args.command
     if cmd == "rotnum":
         tree = load_map(args.map)
-        degree = getattr(tree, "degree", 1)
-        lift = MonotoneRealMap(tree, degree if isinstance(degree, int) else 1)
+        lift = MonotoneRealMap(tree, tree.shift_image(1))  # the degree the tree proves
         # the orbit runs in floats: an x0 past the float range is malformed
         x0 = _flag(args, "x0", lambda v: float(rat(v)))
         est = translation_number_estimate(lift, x0, args.iters,

@@ -3,7 +3,7 @@
 A map tree is built from leaves (affine maps, one-period fundamental-domain
 maps of integer degree, trigonometric-polynomial lifts) and nodes
 (composition, inverse, conjugation by a translation).  Trees have two plain
-float evaluations and a rigorous enclosure evaluation:
+float evaluations, a rigorous enclosure evaluation and one exact rule:
 
 * ``eval_float(x)`` maps one float.  It serves sequential orbits, where the
   next point needs the previous one: translation numbers, the bisection of
@@ -27,23 +27,17 @@ float evaluations and a rigorous enclosure evaluation:
   - float endpoints: rational leaves compute exactly from the endpoints and
     round the result outward to floats.
 
+  A point enclosure [q, q] is mapped or inverted once at a rational leaf
+  and mapped once at a trig-polynomial leaf; both ends are read off that
+  one result.
+* ``shift_image(q)``, the exact q' with F(x + q) = F(x) + q' for every x
+  that the tree's structure proves for a rational shift q, or None; each
+  node has one rule (see MapTree.shift_image).
+
 Trig-polynomial leaves have float coefficients: they round any input
 outward to floats and return padded float enclosures, so a path through one
-continues in outward-rounded floats.  Their float inverse is Newton's method,
-one cos/sin pass per step, in a closed one-period bracket read off
-equivariance, F(k) = F(0) + degree*k, with no forward evaluation.  Newton
-starts from a table of the inverse over one period, built once per lift,
-and takes at least one step unless that step would not move the start; a
-step whose residual a bound derived from the coefficients shows within the
-stopping tolerance is accepted without evaluating F there, so a sine lift
-is inverted in one evaluation.  It bisects only when an iterate leaves the
-bracket or stalls.  The array forms of F and of the inverse share one
-series kernel, which gives F and F' in one matrix product (see
-TrigPolyLift).
-
-A point enclosure [q, q] maps or inverts q once at a rational leaf, and
-maps a float q once at a trig-polynomial leaf; both ends are read off that
-one result.
+continues in outward-rounded floats.  Their float inverse, Newton's method
+from a per-period table in a one-period bracket, is set out in TrigPolyLift.
 
 Two functions on trees serve the BS(m, n) lifts g with h(x) = x + 1:
 ``fixed_points(f, xs)`` brackets the fixed points of f on a grid (one
@@ -94,39 +88,34 @@ class TrigPolyLift(MapTree):
 
     Float-only leaf (coefficients are floats); used by the Fourier smoothing
     path and for sine perturbations of the identity.  Monotonicity is
-    checked, not proved: the minimum of float FFT samples of F' minus a
-    second-derivative Lipschitz guard from the coefficient sums must be
-    positive, and neither figure has a term for float rounding (see
-    monotonicity_margin and ROADMAP.md, Direction 3(b)).
+    checked, not proved: monotonicity_margin, a lower estimate of F' with no
+    term for float rounding, must be positive.
 
     The float inverse is Newton's method, safeguarded by bisection, in the
-    closed one-period bracket [k, k + 1] with F(k) <= y <= F(k + 1).
-    Equivariance gives F(k) = F(0) + degree*k, so the bracket costs no
-    evaluation of F.  Newton starts from a table of the inverse on one
-    period (_start_table, M + 1 entries, M = _fft_grid(harmonics)): k plus
-    the table read at M (y - F(k))/degree by one index and one linear
-    interpolation.  With tol = 1e-14 max(1, |y|), an iterate x is accepted
-    when |F(x) - y| <= tol and either it is not the start or the Newton step
-    from it would not move it (as when F(start) == y), so every answer has
-    had a Newton step or is a fixed point of one.  A Newton step x -> xn
-    that stays in the bracket and moves x is accepted unevaluated when
-    h2 (xn - x)^2 + e0 + e1 |x| <= tol: that bounds the evaluated
-    |F(xn) - y| (_set_step_bound), so the next step would accept xn, and
-    xn is returned without it.  On a sine lift the start's step passes, one
-    evaluation per inversion; on the Fejer-smoothed Theta_j, e0 alone
-    exceeds tol and every step is evaluated.  An iterate on an edge of the
-    bracket is kept; bisection replaces it only when it leaves the bracket
-    or stalls (x_next == x).  Newton also stops when the bracket is
-    narrower than FLOAT_INVERSE_WIDTH max(1, |x|), or after 80 steps.
-    invert_float and invert_array follow these rules step for step.  Each
-    scalar step takes F and F' from one cos/sin pass (_value_slope); the
-    array forms, eval_array and invert_array, share one kernel (_series)
-    that gives F and F' at a block of points by one matrix product.  A y
-    with |y| above min(max/4, degree max / (8 pi N)), N harmonics and max
-    = 1.8e308 the largest float, where the phases 2 pi k x or the bracket
-    would come near overflow, is a PreconditionError, and so is a
-    non-finite y; so, in eval_float, eval_array and eval_enclosure, is an x
-    with |x| above that bound over degree, or a non-finite x.
+    closed one-period bracket [k, k + 1] with F(k) <= y <= F(k + 1), where
+    equivariance gives F(k) = F(0) + degree*k with no evaluation of F.  It
+    starts at k plus the table of the inverse on one period (_start_table,
+    M + 1 entries, M = _fft_grid(harmonics)) read at M (y - F(k))/degree by
+    one index and one linear interpolation.  With tol = 1e-14 max(1, |y|),
+    an iterate x is accepted when |F(x) - y| <= tol, unless it is the start
+    and the Newton step from it would move it, so every answer has had a
+    Newton step or is a fixed point of one.  A step x -> xn that stays in
+    the bracket and moves x is accepted unevaluated when
+    h2 (xn - x)^2 + e0 + e1 |x| <= tol, which bounds the evaluated
+    |F(xn) - y| (_set_step_bound): one evaluation per inversion on a sine
+    lift, while on the Fejer-smoothed Theta_j e0 alone exceeds tol.  An
+    iterate on an edge of the bracket is kept; bisection replaces it only
+    when it leaves the bracket or stalls (x_next == x).  Newton also stops
+    when the bracket is narrower than FLOAT_INVERSE_WIDTH max(1, |x|), or
+    after 80 steps.  invert_float and invert_array follow these rules step
+    for step.  Each scalar step takes F and F' from one cos/sin pass
+    (_value_slope); eval_array and invert_array share one kernel (_series)
+    that gives F and F' at a block of points by one matrix product.  A
+    non-finite y, or one with |y| above min(max/4, degree max / (8 pi N)),
+    N harmonics and max = 1.8e308, where the phases 2 pi k x or the bracket
+    would come near overflow, is a PreconditionError; so, in eval_float,
+    eval_array and eval_enclosure, is a non-finite x or one with |x| above
+    that bound over degree.
     """
 
     def __init__(self, degree: int, a0: float = 0.0,
@@ -184,7 +173,7 @@ class TrigPolyLift(MapTree):
         max|F''| * step / 2, with max|F''| bounded by a float coefficient
         sum.  It bounds F' from below in exact arithmetic only: no term
         covers the rounding of the FFT or of the sum, so it is not a
-        certificate (ROADMAP.md, Direction 3(b)).
+        certificate (ROADMAP.md, Direction 5).
         """
         if self._deriv_min is not None:
             return self._deriv_min
@@ -294,6 +283,8 @@ class TrigPolyLift(MapTree):
         f_hi = f_lo if hi == lo else self.eval_float(hi)
         return Enclosure(f_lo - self._pad(lo), f_hi + self._pad(hi))
 
+    shift_image = FundamentalDomainMap.shift_image  # degree*q for integer q
+
     def _set_step_bound(self, slope_amplitude: float) -> None:
         """Constants h2, e0, e1 of the test that accepts a Newton step unseen.
 
@@ -325,23 +316,25 @@ class TrigPolyLift(MapTree):
     def invert_float(self, y: float) -> float:
         if not abs(y) <= self._y_max:
             raise PreconditionError(f"cannot invert a trig lift at y = {y!r}")
-        # the one-period bracket F(a) <= y <= F(a + 1), F(a) = F(0) + degree*a;
-        # one move of a either way corrects the floor wherever floats resolve
-        # degree*a (|y| < 2^51 degree), and past that y may miss the closed
-        # bracket by rounding, as it may at an edge
+        # the bracket F(a) <= y <= F(a + 1): one move of a either way corrects
+        # the floor where floats resolve degree*a (|y| < 2^51 degree); past
+        # that, as at an edge, y may miss the closed bracket by rounding
         deg, f0 = self.degree, self._f0
         t = (y - f0) / deg
-        a = math.floor(t)
-        a -= f0 + deg * a > y
-        a += f0 + deg * (a + 1) < y
-        a, b = float(a), float(a + 1)
+        a = t // 1.0
+        if f0 + deg * a > y:
+            a -= 1.0
+        elif f0 + deg * (a + 1.0) < y:
+            a += 1.0
+        b = a + 1.0
         # the start: the table read at M (y - F(a))/degree, clamped to [0, M]
         starts = self._starts_view
         cells = len(starts) - 1
-        u = min(max((t - a) * cells, 0.0), cells)
-        i = min(int(u), cells - 1)
+        u = (t - a) * cells
+        u = 0.0 if u < 0.0 else cells if u > cells else u
+        i = int(u) if u < cells else cells - 1
         x = a + (starts[i] + (u - i) * (starts[i + 1] - starts[i]))
-        tol = 1e-14 * max(1.0, abs(y))
+        tol = 1e-14 * (y if y > 1.0 else -y if y < -1.0 else 1.0)
         h2, e0, e1 = self._h2, self._e0, self._e1
         for step in range(80):
             per, slope = self._value_slope(x)
@@ -349,18 +342,19 @@ class TrigPolyLift(MapTree):
             d = deg + slope
             xn = x - fx / d if d > 0 else x
             # the start is returned only where a Newton step would not move it
-            if abs(fx) <= tol and (step or xn == x):
+            if -tol <= fx <= tol and (step or xn == x):
                 return x
+            # a Newton step moves toward the root, so it is inside the bracket
+            # that x splits exactly when it is inside the one around x
+            inside = a <= xn <= b and xn != x
+            if inside and h2 * (xn - x) ** 2 + e0 + e1 * (x if x > 0.0 else -x) <= tol:
+                return xn
             if fx < 0:
                 a = x
             else:
                 b = x
-            if not (a <= xn <= b) or xn == x:
-                xn = 0.5 * (a + b)
-            elif h2 * (xn - x) ** 2 + e0 + e1 * abs(x) <= tol:
-                return xn
-            x = xn
-            if b - a <= FLOAT_INVERSE_WIDTH * max(1.0, abs(x)):
+            x = xn if inside else 0.5 * (a + b)
+            if b - a <= FLOAT_INVERSE_WIDTH * (x if x > 1.0 else -x if x < -1.0 else 1.0):
                 break
         return x
 
@@ -403,15 +397,17 @@ class TrigPolyLift(MapTree):
         stay = np.abs(fx) <= tol
         if first:
             stay &= xn == x
+        # as in invert_float, the bracket around x decides inside; a step inside
+        # moves x by at most 1, one outside (at huge |x|) may overflow squared
+        inside = (a <= xn) & (xn <= b) & (xn != x)
+        step = np.where(inside, xn - x, 0.0)
+        stop = stay | inside & (self._h2 * step ** 2 + self._e0 + self._e1 * np.abs(x) <= tol)
+        if stop.all():
+            return np.where(stay, x, xn), a, b, ~stop
         low = fx < 0
         a, b = np.where(low, x, a), np.where(low, b, x)
-        inside = (a <= xn) & (xn <= b) & (xn != x)
-        # a step inside the bracket moves x by at most 1; one outside it, as
-        # at huge |x| where fx is a rounding error, may overflow when squared
-        step = np.where(inside, xn - x, 0.0)
-        accept = inside & (self._h2 * step ** 2 + self._e0 + self._e1 * np.abs(x) <= tol)
         xn = np.where(inside, xn, 0.5 * (a + b))
-        going = ~(stay | accept) & (b - a > FLOAT_INVERSE_WIDTH * np.maximum(1.0, np.abs(xn)))
+        going = ~stop & (b - a > FLOAT_INVERSE_WIDTH * np.maximum(1.0, np.abs(xn)))
         return np.where(stay, x, xn), a, b, going
 
     def to_spec(self):
@@ -428,12 +424,7 @@ class Compose(MapTree):
     """parts[0] o parts[1] o ... (rightmost applied first)."""
 
     def __init__(self, parts: Sequence[MapTree]):
-        flat = []
-        for p in parts:
-            if isinstance(p, Compose):
-                flat.extend(p.parts)
-            else:
-                flat.append(p)
+        flat = [q for p in parts for q in (p.parts if isinstance(p, Compose) else (p,))]
         if not flat:
             raise RepresentationError("empty composition")
         self.parts = tuple(flat)
@@ -452,6 +443,11 @@ class Compose(MapTree):
         for p in reversed(self.parts):
             enc = p.eval_enclosure(enc, inverse_width)
         return enc
+
+    def shift_image(self, q):
+        for p in reversed(self.parts):
+            q = None if q is None else p.shift_image(q)
+        return q
 
     def to_spec(self):
         return {"kind": "compose", "of": [p.to_spec() for p in self.parts]}
@@ -495,6 +491,9 @@ class Inverse(MapTree):
                 return end
             pad *= 2
 
+    def shift_image(self, q):
+        return Fraction(q, self.inner.degree) if q % self.inner.degree == 0 else None
+
     def to_spec(self):
         return {"kind": "inverse", "of": self.inner.to_spec()}
 
@@ -516,9 +515,10 @@ class TranslateConjugate(MapTree):
         return self.inner.eval_array(xs - s) + s
 
     def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
-        s = self.shift
-        out = self.inner.eval_enclosure(enc.shift(-s), inverse_width)
-        return out.shift(s)
+        return self.inner.eval_enclosure(enc.shift(-self.shift), inverse_width).shift(self.shift)
+
+    def shift_image(self, q):
+        return self.inner.shift_image(q)
 
     def to_spec(self):
         return {"kind": "translate_conjugate", "shift": rat_str(self.shift),

@@ -287,6 +287,15 @@ class MapTree:
         trig-polynomial leaf is on the path."""
         return self.eval_enclosure(Enclosure.point(rat(x)))
 
+    def shift_image(self, q: Fraction):
+        """The exact q' with F(x + q) = F(x) + q' for every x that the tree's
+        structure proves for the rational shift q, or None: slope*q on an
+        affine map; degree*q for integer q on a leaf of integer degree and
+        q/degree on its inverse, where that is an integer; the inner map's
+        rule under a conjugation; the parts' rules folded right to left in
+        a composition; None by default."""
+        return None
+
     def __call__(self, x: float) -> float:
         return self.eval_float(x)
 
@@ -314,6 +323,9 @@ class AffineMap(MapTree):
     def eval_enclosure(self, enc, inverse_width=DEFAULT_INVERSE_WIDTH):
         lo, hi = enc.rational_ends
         return _image(enc, self.slope * lo + self.offset, self.slope * hi + self.offset)
+
+    def shift_image(self, q):
+        return self.slope * q
 
     def to_spec(self):
         return {"kind": "affine", "slope": rat_str(self.slope), "offset": rat_str(self.offset)}
@@ -400,6 +412,9 @@ class FundamentalDomainMap(MapTree):
         lo, hi = enc.rational_ends
         value_lo = self.eval_exact_point(lo)
         return _image(enc, value_lo, value_lo if hi == lo else self.eval_exact_point(hi))
+
+    def shift_image(self, q):
+        return self.degree * q if q.denominator == 1 else None
 
     def _locate(self, y: Rat) -> tuple[int, Rat, Piece]:
         """(k, yr, piece) with y = yr + degree k and yr among the piece's values."""

@@ -1,10 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lineactions.circle import (AtomicCircleMeasure, MonotoneRealMap,
@@ -14,8 +15,9 @@ from lineactions.circle import (AtomicCircleMeasure, MonotoneRealMap,
                                 mean_translation_number, nu, rigid_rotation,
                                 translation_number_estimate)
 from lineactions.errors import PreconditionError, RepresentationError
-from lineactions.maps import (AffineMap, build_theta, compose, from_knots,
-                              invert, iterate, sine_lift)
+from lineactions.maps import (AffineMap, Enclosure, FundamentalDomainMap,
+                              TranslateConjugate, TrigPolyLift, build_theta, compose,
+                              from_knots, invert, iterate, sine_lift)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=499)
 
@@ -30,6 +32,92 @@ def period3_attracting_map():
         q = atoms[(i + 1) % 3] + (1 if i == 2 else 0)
         knots += [(p - d, q - s * d), (p, q), (p + d, q + s * d)]
     return MonotoneRealMap(from_knots(knots, 1, "period3"), 1), atoms
+
+
+# -- the degree of a lift -----------------------------------------------------
+
+THETA2_HALF_TURN = compose(build_theta(2), AffineMap(1, F(1, 2)), invert(build_theta(2)))
+
+
+def test_building_a_lift_evaluates_no_leaf(monkeypatch):
+    per3, _ = period3_attracting_map()
+    psi = sine_lift("1/100")
+    trees = [(per3.tree, 1), (compose(invert(psi), AffineMap(1, F(1, 3)), psi), 1),
+             (build_theta(3), 3), (compose(invert(build_theta(2)), AffineMap(2, 0)), 1),
+             (TranslateConjugate(F(1, 2), compose(build_theta(2), psi)), 2),
+             (iterate(compose(invert(psi), per3.tree, psi), 3), 1), (AffineMap(1, 2), 1)]
+    calls = []
+    for cls in (AffineMap, FundamentalDomainMap, TrigPolyLift):
+        for name in ("eval_enclosure", "eval_float", "eval_array"):
+            monkeypatch.setattr(cls, name, lambda self, *args, name=name: calls.append(name))
+    for tree, degree in trees:
+        assert MonotoneRealMap(tree, degree).degree == degree
+    assert calls == []
+
+
+def test_theta_conjugated_half_turn_is_no_lift():
+    # Theta_2 T_1/2 Theta_2^-1 is increasing, and the product of its nodes'
+    # degrees is 1, but F(x + 1) - F(x) is about 1.996 at -1 and 0.004 at 0
+    ends = [THETA2_HALF_TURN.eval_exact(x).rational_ends for x in (-1, 0, 1)]
+    (lo, hi), (lo0, hi0), (lo1, hi1) = ends
+    assert 1.99 < lo0 - hi <= hi0 - lo < 2 and 0 < lo1 - hi0 <= hi1 - lo0 < 0.01
+    assert THETA2_HALF_TURN.shift_image(1) is None
+    for degree in (1, 2):
+        with pytest.raises(RepresentationError, match="equivariance"):
+            MonotoneRealMap(THETA2_HALF_TURN, degree)
+
+
+def test_shift_rules_of_each_node():
+    theta3 = build_theta(3)
+    assert AffineMap(F(3, 2), 5).shift_image(F(2, 3)) == 1
+    assert theta3.shift_image(2) == 6 and theta3.shift_image(F(1, 2)) is None
+    assert sine_lift("1/50").shift_image(-1) == -1
+    assert invert(theta3).shift_image(6) == 2 and invert(theta3).shift_image(1) is None
+    assert TranslateConjugate(F(1, 3), theta3).shift_image(1) == 3
+    # folded right to left: 1 -> 3 under Theta_3, then 3/2 under x/2
+    assert compose(AffineMap(F(1, 2), 0), theta3).shift_image(1) == F(3, 2)
+    with pytest.raises(RepresentationError, match="integer"):
+        MonotoneRealMap(compose(AffineMap(F(1, 2), 0), theta3), F(3, 2))
+
+
+@st.composite
+def _knot_lifts(draw):
+    degree, n = draw(st.integers(1, 2)), draw(st.integers(2, 4))
+    xs, ys = (sorted(draw(st.lists(st.integers(0, top - 1), min_size=n, max_size=n,
+                                   unique=True))) for top in (12, 12 * degree))
+    return from_knots([(F(x, 12), F(y, 12)) for x, y in zip(xs, ys)], degree)
+
+
+_leaves = st.one_of(
+    _knot_lifts(),
+    st.integers(1, 30).map(lambda a: sine_lift(F(a, 1000))),
+    st.fractions(-2, 2, max_denominator=12).map(lambda r: AffineMap(1, r)),
+    st.integers(1, 3).map(build_theta))
+
+_trees = st.recursive(_leaves, lambda kids: st.one_of(
+    kids.map(invert),
+    st.tuples(st.fractions(-1, 1, max_denominator=12), kids).map(
+        lambda t: TranslateConjugate(*t)),
+    st.tuples(kids, kids).map(lambda t: compose(*t))), max_leaves=4)
+
+
+@given(tree=_trees, x=rationals, k=st.integers(-3 * 2**10, 3 * 2**10))
+@settings(max_examples=150, deadline=None)
+def test_a_proved_degree_holds_at_every_point(tree, x, k):
+    degree = tree.shift_image(1)
+    assume(degree is not None)
+    # enclosures at a rational x: points exactly the degree apart where no
+    # cubic inverse is on the path, and differences holding it everywhere
+    (lo, hi), (lo1, hi1) = (tree.eval_exact(p).rational_ends for p in (x, x + 1))
+    assert lo1 - hi <= degree <= hi1 - lo
+    if lo == hi and lo1 == hi1:
+        assert lo1 - lo == degree
+    # float enclosures, at a dyadic x where x + 1 is a float too
+    xf = k / 2**10
+    (lo, hi), (lo1, hi1) = (tree.eval_enclosure(Enclosure.point(p)).rational_ends
+                            for p in (xf, xf + 1.0))
+    assert lo1 - hi <= degree <= hi1 - lo
+    assert MonotoneRealMap(tree, degree).degree == degree
 
 
 # -- translation numbers -----------------------------------------------------
@@ -276,6 +364,23 @@ def test_fixed_components_registers_isolated_points():
     f = SampledIntervalMap.from_callable(lambda x: x ** 2, 101)
     comps = fixed_components(f, 1e-12)
     assert comps == [(0.0, 0.0), (1.0, 1.0)]
+
+
+@given(moves=st.lists(st.sampled_from([0.0, 0.0, 1e-12, -1e-12, 1e-4, -1e-4]),
+                      min_size=0, max_size=40),
+       tol=st.sampled_from([0.0, 1e-9, 1e-3]))
+@settings(max_examples=150, deadline=None)
+def test_fixed_components_match_a_scan_of_the_grid(moves, tol):
+    xs = np.linspace(0, 1, len(moves) + 2)
+    f = SampledIntervalMap(xs, xs + np.array([0.0, *moves, 0.0]))
+    # the reference: one pass over the grid, run by run
+    want, i = [], 0
+    for hit, run in itertools.groupby(np.abs(f.ys - f.xs) <= tol):
+        n = len(list(run))
+        if hit:
+            want.append((float(f.xs[i]), float(f.xs[i + n - 1])))
+        i += n
+    assert fixed_components(f, tol) == want
 
 
 def _compactify(tree):

@@ -40,6 +40,25 @@ def test_rotnum_from_json_and_csv(tmp_path, capsys):
     assert abs(float(out["estimate"]) - 0.25) < 1e-12
 
 
+
+def test_rotnum_reads_the_degree_off_the_tree(tmp_path, capsys):
+    # Theta_2^-1(2x) proves degree 1; Theta_2 proves 2, which rotnum refuses;
+    # Theta_2 T_1/2 Theta_2^-1 proves none, although its nodes' degrees
+    # multiply to 1 (F(x + 1) - F(x) is about 1.996 at x = -1)
+    theta2 = {"kind": "theta", "j": 2}
+    half = {"kind": "affine", "slope": "1", "offset": "1/2"}
+    specs = {"halved": ({"kind": "compose", "of": [{"kind": "inverse", "of": theta2},
+                                                   {"kind": "affine", "slope": "2"}]}, 0, ""),
+             "theta2": (theta2, 2, "degree-1"),
+             "half-turn": ({"kind": "compose", "of": [theta2, half, {"kind": "inverse",
+                                                                     "of": theta2}]},
+                           2, "equivariance not proved")}
+    for name, (spec, want, message) in specs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["rotnum", "--map", str(path), "--iters", "50"]) == want
+        assert message in capsys.readouterr().err
+
 def test_meantrans_cli(tmp_path, capsys):
     spec = tmp_path / "rot.json"
     spec.write_text(json.dumps({"kind": "affine", "slope": "1", "offset": "1/2"}))
