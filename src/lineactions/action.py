@@ -11,11 +11,14 @@ point x0 in the interior of C intersect C_2 lands in (A^s + nZ) u (B^s + mZ),
 hence moves x0.  certify_word replays that induction for one word with
 rigorous enclosures; sweep_certify replays it for every pinch-free word in
 an exponent/syllable box at once by collapsing words onto shared
-(enclosure, integer offset) states, carrying exact multiplicities.
+(dyadic cell, integer offset) states, carrying exact multiplicities; the
+cells' grid and the sweep's inverse width follow from the verified
+ping-pong table's least slack.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -23,9 +26,10 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConstructionError, PreconditionError
-from .maps import (AffineMap, Enclosure, MapTree, TranslateConjugate, TrigPolyLift,
-                   build_theta, compose, fixed_points, fourier_smooth, from_spec, invert,
-                   leaves, rat, rat_str, read_field, relation_residual)
+from .maps import (DEFAULT_INVERSE_WIDTH, AffineMap, Enclosure, MapTree,
+                   TranslateConjugate, TrigPolyLift, _image, build_theta, compose,
+                   fixed_points, fourier_smooth, from_spec, invert, leaves, rat, rat_str,
+                   read_field, relation_residual)
 from .words import BSWord, NormalForm, _pinch_between, count_pinch_free
 
 BOUNDARY_GUARD = Fraction(1, 10**12)
@@ -69,7 +73,9 @@ def locate_in_lattice(enc: Enclosure, window: Window, modulus: int):
 
 @dataclass
 class PingPongTable:
-    """Interval system and the verified inclusion facts for one (m, n)."""
+    """Interval system and the verified inclusion facts for one (m, n); each
+    fact's slack is the signed exact distance from its enclosure to its
+    target window, and least_slack the least of them."""
 
     m: int
     n: int
@@ -78,6 +84,7 @@ class PingPongTable:
     facts: list = field(default_factory=list)
     verified: bool = False
     mode: str = "rational"
+    least_slack: Optional[Fraction] = None
 
     @staticmethod
     def windows_for(a: Fraction) -> dict:
@@ -106,7 +113,9 @@ class PingPongTable:
     def to_json(self):
         return {"m": self.m, "n": self.n, "a": rat_str(self.a),
                 "windows": {k: w.to_json() for k, w in self.windows.items()},
-                "verified": self.verified, "mode": self.mode, "facts": self.facts}
+                "verified": self.verified, "mode": self.mode,
+                "least_slack": None if self.least_slack is None else rat_str(self.least_slack),
+                "facts": self.facts}
 
 
 # ---------------------------------------------------------------------------
@@ -278,23 +287,27 @@ def verify_inclusions(act: BSAction, mode: Optional[str] = None) -> PingPongTabl
     """
     windows, checks = _inclusion_checks(act)
     table = PingPongTable(act.m, act.n, act.a, windows, mode=_own_mode(act, mode))
-    ids_seen = set()
+    ids_seen, slacks = set(), []
     for fact_id, desc, tree, src, k, target, modulus in checks:
         ids_seen.add(fact_id)
         enc = tree.eval_enclosure(Enclosure(src.lo + k, src.hi + k))
         verdict, s = locate_in_lattice(enc, target, modulus)
+        lo, hi = enc.rational_ends
+        slacks.append(min(lo - target.lo - s, target.hi + s - hi))
         table.facts.append({
             "id": fact_id, "check": desc, "target": f"{target.name}+{modulus}Z",
             "verdict": verdict, "offset": s, "enclosure": enc.to_json(),
+            "slack": rat_str(slacks[-1]),
         })
     for vacuous in {"eqn1", "eqn2", "eqn3", "eqn4", "eqn5", "eqn6", "eqn7"} - ids_seen:
         table.facts.append({"id": vacuous, "check": "no residues to test",
                             "target": "", "verdict": "Inside", "offset": 0,
-                            "enclosure": None})
+                            "enclosure": None, "slack": None})
     if not table.tiling_ok():
         table.facts.append({"id": "tiling", "check": "[0,1] = A^u u C u (A^s+1)",
                             "target": "", "verdict": "Outside", "offset": 0,
-                            "enclosure": None})
+                            "enclosure": None, "slack": None})
+    table.least_slack = min(slacks)
     table.verified = table.all_inside()
     act.table = table
     return table
@@ -330,19 +343,8 @@ class Certificate:
 def _window_separation(x0: Fraction, windows: dict) -> Fraction:
     """Distance from x0 to (A^s + Z) u (B^s + Z), a lower bound for the
     displacement of a certified word."""
-    best = None
-    for name in ("A^s", "B^s"):
-        w = windows[name]
-        for k in range(-1, 3):
-            lo, hi = w.lo + k, w.hi + k
-            if x0 < lo:
-                d = lo - x0
-            elif x0 > hi:
-                d = x0 - hi
-            else:
-                d = Fraction(0)
-            best = d if best is None else min(best, d)
-    return best
+    ends = [(w.lo + k, w.hi + k) for w in (windows["A^s"], windows["B^s"]) for k in range(-1, 3)]
+    return min(lo - x0 if x0 < lo else x0 - hi if x0 > hi else Fraction(0) for lo, hi in ends)
 
 
 def _base_point(x0, windows: dict) -> Fraction:
@@ -355,7 +357,8 @@ def _base_point(x0, windows: dict) -> Fraction:
     return x0
 
 
-def _pingpong_step(act: BSAction, windows: dict, enc: Enclosure, sign: int):
+def _pingpong_step(act: BSAction, windows: dict, enc: Enclosure, sign: int,
+                   inverse_width: Fraction = DEFAULT_INVERSE_WIDTH):
     """Apply t (sign +1, i.e. g) or t^-1 (sign -1, i.e. g^-1) to enc in halves.
 
     Half one, g_m^-1 (resp. g_n^-1), must land in B^u + Z (resp. A^u + Z) at
@@ -363,17 +366,18 @@ def _pingpong_step(act: BSAction, windows: dict, enc: Enclosure, sign: int):
     s1 and must land in A^s + nZ (resp. B^s + mZ) at offset s2; its enclosure
     and s2 are in those reduced coordinates, so the unreduced ones are n*s1
     (resp. m*s1) further on.  Returns (e1, v1, s1, e2, v2, s2); e2, v2 and s2
-    are None when half one is not Inside.
+    are None when half one is not Inside.  Cubic inverses bisect to
+    inverse_width.
     """
     if sign == 1:
         first, w1, second, w2, mod2 = act.g_m_inv, windows["B^u"], act.g_n, windows["A^s"], act.n
     else:
         first, w1, second, w2, mod2 = act.g_n_inv, windows["A^u"], act.g_m, windows["B^s"], act.m
-    e1 = first.eval_enclosure(enc)
+    e1 = first.eval_enclosure(enc, inverse_width)
     v1, s1 = locate_in_lattice(e1, w1, 1)
     if v1 != "Inside":
         return e1, v1, s1, None, None, None
-    e2 = second.eval_enclosure(e1.shift(-s1))
+    e2 = second.eval_enclosure(e1.shift(-s1), inverse_width)
     v2, s2 = locate_in_lattice(e2, w2, mod2)
     return e1, v1, s1, e2, v2, s2
 
@@ -466,6 +470,7 @@ class SweepSummary:
     inconclusive: int
     states_by_depth: dict
     max_enclosure_width: float
+    cell_width: Fraction
 
     @property
     def total_words(self) -> int:
@@ -488,20 +493,36 @@ class SweepSummary:
                 "inconclusive": self.inconclusive,
                 "states_by_depth": {str(k): v for k, v in
                                     self.states_by_depth.items()},
-                "max_enclosure_width": repr(self.max_enclosure_width)}
+                "max_enclosure_width": repr(self.max_enclosure_width),
+                "cell_width": rat_str(self.cell_width)}
+
+
+def _dyadic_cell(enc: Enclosure, window: Window, bits: int) -> Enclosure:
+    """enc rounded outward to the grid 2^-bits Z, or enc itself when that cell
+    leaves window; exact in enc's arithmetic, the grid points being floats."""
+    scale = 2 ** bits
+    cell = _image(enc, Fraction(math.floor(enc.lo * scale), scale),
+                  Fraction(math.ceil(enc.hi * scale), scale))
+    return cell if cell.inside(window.lo, window.hi) else enc
 
 
 def sweep_certify(act: BSAction, max_syllables: int, exponent_bound: int,
                   x0=Fraction(3, 4), mode: Optional[str] = None) -> SweepSummary:
     """Certify every pinch-free word in the box at once.
 
-    Words sharing the same induction state are collapsed: a state is the
-    current rigorous enclosure reduced into its window plus the exact integer
-    offset, and word multiplicities are carried along.  Every distinct
-    enclosure transition is certified once with the same rigor as
-    certify_word; the counts per t-syllable class are checked against the
-    independent transfer-matrix count.  ``mode`` may only name the action's
-    arithmetic ("float" if and only if act.smoothed); any other value raises
+    Words sharing the same induction state are collapsed: a state is a cell
+    plus the exact integer offset, and word multiplicities are carried
+    along.  A cell is the enclosure reduced into A^s or B^s and rounded
+    outward to the grid 2^-K Z, 2^-K the largest power of two at most a
+    quarter of the least slack of act.table (verified here if absent; one
+    that does not verify raises PreconditionError), or the enclosure itself
+    where the rounded cell would leave the window.  Every distinct
+    transition is certified once with the rigor of certify_word, with cubic
+    inverses bisected to 2^-K/16: far below the slack by which the table
+    puts each whole window Inside, so no edge from a cell is lost to them.
+    The counts per t-syllable class are checked against the independent
+    transfer-matrix count.  ``mode`` may only name the action's arithmetic
+    ("float" if and only if act.smoothed); any other value raises
     PreconditionError.
     """
     if max_syllables < 0 or exponent_bound < 1:
@@ -509,6 +530,11 @@ def sweep_certify(act: BSAction, max_syllables: int, exponent_bound: int,
     windows = PingPongTable.windows_for(act.a)
     x0 = _base_point(x0, windows)
     _own_mode(act, mode)
+    table = act.table or verify_inclusions(act)
+    if not table.verified:
+        raise PreconditionError("the ping-pong table of this action does not verify")
+    bits = (math.ceil(4 / table.least_slack) - 1).bit_length()  # 2^-bits <= slack/4
+    inverse_width = Fraction(1, 2 ** (bits + 4))
 
     b = exponent_bound
     m, n = act.m, act.n
@@ -538,12 +564,13 @@ def sweep_certify(act: BSAction, max_syllables: int, exponent_bound: int,
         if key in edge_cache:
             return edge_cache[key]
         _, _, s1, e2, v2, s2 = _pingpong_step(act, windows, enc_list[enc_id].shift(v),
-                                              direction)
+                                              direction, inverse_width)
         result = None
         if v2 == "Inside":
-            e2b = e2.shift(-s2)
-            max_width = max(max_width, float(e2b.width))
-            result = (intern(e2b), s1, s2)
+            cell = _dyadic_cell(e2.shift(-s2), windows["A^s" if direction == 1 else "B^s"],
+                                bits)
+            max_width = max(max_width, float(cell.width))
+            result = (intern(cell), s1, s2)
         edge_cache[key] = result
         return result
 
@@ -591,7 +618,8 @@ def sweep_certify(act: BSAction, max_syllables: int, exponent_bound: int,
     expected = count_pinch_free(m, n, max_syllables, b)
     nontrivial = sum(counts.values())
     return SweepSummary(m, n, max_syllables, b, x0, counts, expected,
-                        nontrivial, inconclusive, states_by_depth, max_width)
+                        nontrivial, inconclusive, states_by_depth, max_width,
+                        Fraction(1, 2 ** bits))
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,7 @@ float evaluations, a rigorous enclosure evaluation and one exact rule:
     round the result outward to floats.
 
   A point enclosure [q, q] is mapped or inverted once at a rational leaf
-  and mapped once at a trig-polynomial leaf; both ends are read off that
-  one result.
+  and at a trig-polynomial leaf; both ends are read off that one result.
 * ``shift_image(q)``, the exact q' with F(x + q) = F(x) + q' for every x
   that the tree's structure proves for a rational shift q, or None; each
   node has one rule (see MapTree.shift_image).
@@ -475,15 +474,16 @@ class Inverse(MapTree):
             if isinstance(enc.lo, float):
                 inverse_width = Fraction(1, 2**52)
             return _image(enc, *inner.invert_exact(*enc.rational_ends, inverse_width))
-        return Enclosure(self._proved_end(_float_down(enc.lo), -1.0),
-                         self._proved_end(_float_up(enc.hi), 1.0))
+        lo, hi = _float_down(enc.lo), _float_up(enc.hi)
+        x_lo = inner.invert_float(lo)
+        x_hi = x_lo if hi == lo else inner.invert_float(hi)
+        return Enclosure(self._proved_end(lo, x_lo, -1.0), self._proved_end(hi, x_hi, 1.0))
 
-    def _proved_end(self, y: float, side: float) -> float:
-        """A float x below (side -1) or above (side +1) the inverse of the trig
-        lift at y: the Newton inverse moved out by a pad that doubles until
-        the leaf's forward enclosure shows F(x) <= y (or F(x) >= y)."""
+    def _proved_end(self, y: float, x: float, side: float) -> float:
+        """A float below (side -1) or above (side +1) the inverse of the trig
+        lift at y: x, the Newton inverse at y, moved out by a pad that doubles
+        until the leaf's forward enclosure there shows F <= y (or F >= y)."""
         inner, pad = self.inner, 4 * TrigPolyLift._PAD
-        x = inner.invert_float(y)
         while True:
             end = x + side * pad
             f = inner.eval_enclosure(Enclosure.point(end))

@@ -1,13 +1,18 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from lineactions.action import (build_action, certify_word, find_g_fixed_point,
-                                locate_in_lattice, rotation_obstruction,
-                                sweep_certify, verify_inclusions, Window)
+from lineactions import action
+from lineactions.action import (BSAction, PingPongTable, _dyadic_cell, build_action,
+                                certify_word, find_g_fixed_point, locate_in_lattice,
+                                rotation_obstruction, sweep_certify, verify_inclusions,
+                                Window)
 from lineactions.errors import PreconditionError
-from lineactions.maps import AffineMap, Enclosure, rat
+from lineactions.maps import DEFAULT_INVERSE_WIDTH, AffineMap, Enclosure, rat
 from lineactions.words import BSWord, count_pinch_free, enumerate_reduced, reduce
 
 
@@ -200,6 +205,64 @@ def test_sweep_counts_other_parameters():
     summary = sweep_certify(act, 3, 2)
     assert summary.counts_by_syllables == count_pinch_free(2, 5, 3, 2)
     assert summary.inconclusive == 0
+
+
+@given(lo=st.fractions(F(-3, 20), F(1, 20), max_denominator=10**9),
+       width=st.fractions(0, F(1, 50), max_denominator=10**9),
+       bits=st.integers(0, 16), as_float=st.booleans())
+@example(lo=F(-1, 10), width=F(0), bits=3, as_float=False)
+@example(lo=F(-1, 10), width=F(1, 20), bits=10, as_float=True)
+def test_dyadic_cell_rounds_out_to_the_grid_inside_the_window(lo, width, bits, as_float):
+    window = PingPongTable.windows_for(F(1, 10))["A^s"]
+    enc = Enclosure(lo, lo + width)
+    if as_float:
+        enc = Enclosure(float(enc.lo), float(enc.hi))
+    cell = _dyadic_cell(enc, window, bits)
+    assert type(cell.lo) is type(enc.lo) and type(cell.hi) is type(enc.hi)
+    assert cell.lo <= enc.lo and enc.hi <= cell.hi
+    grid = (F(math.floor(F(enc.lo) * 2**bits), 2**bits),
+            F(math.ceil(F(enc.hi) * 2**bits), 2**bits))
+    if window.lo <= grid[0] and grid[1] <= window.hi:
+        assert (F(cell.lo), F(cell.hi)) == grid
+    else:
+        assert cell == enc
+
+
+def test_sweep_refuses_an_action_whose_table_does_not_verify():
+    # affine "lifts" keep the x0 window of a = 1/10 but break the inclusions
+    act = BSAction.from_lifts(2, 3, F(1, 10), AffineMap(3, 0), AffineMap(2, 0))
+    with pytest.raises(PreconditionError, match="does not verify"):
+        sweep_certify(act, 1, 1)
+    assert act.table is not None and not act.table.verified
+
+
+@pytest.mark.parametrize("m, n, harmonics, cell_bits", [
+    (1, 2, None, 10), (2, 3, None, 10), (3, 4, None, 11), (2, 5, None, 11), (2, 3, 256, 11)])
+def test_sweep_widths_follow_the_least_slack(m, n, harmonics, cell_bits, monkeypatch):
+    act = build_action(m, n, fourier_harmonics=harmonics)
+    table = verify_inclusions(act)
+    assert table.least_slack == min(F(f["slack"]) for f in table.facts if f["slack"])
+    widths = []
+    step = action._pingpong_step
+
+    def spy(act, windows, enc, sign, inverse_width=DEFAULT_INVERSE_WIDTH):
+        widths.append(inverse_width)
+        return step(act, windows, enc, sign, inverse_width)
+
+    monkeypatch.setattr(action, "_pingpong_step", spy)
+    summary = sweep_certify(act, 2, 2)
+    assert summary.cell_width == F(1, 2**cell_bits)
+    assert summary.cell_width <= table.least_slack / 4 < 2 * summary.cell_width
+    assert set(widths) == {summary.cell_width / 16} and max(widths) < table.least_slack
+    widths.clear()
+    certify_word(act, BSWord.parse(m, n, "t^-1 a t"))
+    assert set(widths) == {DEFAULT_INVERSE_WIDTH}
+
+
+@pytest.mark.parametrize("m, n, depth, bound", [(2, 3, 12, 4), (3, 4, 8, 6)])
+def test_sweep_deep_boxes(m, n, depth, bound):
+    summary = sweep_certify(build_action(m, n), depth, bound)
+    assert summary.counts_match() and summary.inconclusive == 0
 
 
 def test_sweep_agrees_with_random_big_box_words(act23):

@@ -25,7 +25,7 @@ from lineactions.words import BSWord, enumerate_reduced, is_trivial, reduce
 PAIRS = [(1, 2), (2, 3), (2, 5), (3, 4)]
 
 CERTIFICATES_SHA256 = "aee7203ce83f12d8c9f583ca761f3264b554133239ddd0e0b29f60dd54523d38"
-SWEEPS_SHA256 = "752f7fdf385a43b19f179bce605d2d642adc7dea15858c22544756cfb3c4b9f2"
+SWEEPS_SHA256 = "bade3aa2a95d01952f37e20982615fe1eb47257d4a1573741236ecc6d9520647"
 RESIDUALS_SHA256 = "cfb26ade75df19ff293c2f2b09459fe218e1aa3a6f5dbe06b147bd307b2a514e"
 REDUCTIONS_SHA256 = "fc67bca33031bf1a776fb6a4202e5ded888b6738bb043bbffac35aed928eef00"
 SMOOTHED_SHA256 = {

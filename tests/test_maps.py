@@ -517,6 +517,18 @@ def test_trig_inverse_bracket_needs_no_forward_evaluation(trig_lifts, name, monk
     assert np.array_equal(lift.invert_array(np.array(ys)), want_array)
 
 
+def test_trig_inverse_of_a_float_point_inverts_once(monkeypatch):
+    inv = invert(sine_lift("1/100"))
+    seen = []
+    invert_float = TrigPolyLift.invert_float
+    monkeypatch.setattr(TrigPolyLift, "invert_float",
+                        lambda self, y: seen.append(y) or invert_float(self, y))
+    enc = inv.eval_enclosure(Enclosure.point(0.25))
+    assert seen == [0.25]
+    # the enclosure an inversion per end gave
+    assert (enc.lo.hex(), enc.hi.hex()) == ("0x1.eb8f6ccd544d6p-3", "0x1.eb8f6ccd9aabcp-3")
+
+
 # invert_float away from every bracket edge, recorded with the start read
 # off the per-period table; the bits are those of whichever iterate first
 # met the stopping test, checked again below
