@@ -48,23 +48,22 @@ class Window:
 
 
 def locate_in_lattice(enc: Enclosure, window: Window, modulus: int):
-    """Find s in modulus*Z with enc inside window + s.
-
-    Returns (verdict, s): Inside with the witness s, Inconclusive when the
-    enclosure straddles a boundary within the guard, Outside otherwise.
-    Never rounds a straddling enclosure to Inside.
+    """Place enc in window + modulus*Z at s = modulus*round((mid - center)/modulus),
+    mid the midpoint of enc (the float average for float ends) and center
+    the window's.  Returns (verdict, s): Inside when enc lies in window + s,
+    Inconclusive when only in window + s widened by BOUNDARY_GUARD, Outside
+    otherwise; never rounds a straddling enclosure to Inside.  Requires
+    width + 2*BOUNDARY_GUARD < modulus, so that no other translate can hold
+    enc: one s' that did would give |mid - center - s'| < modulus/2.
     """
-    mid = Fraction(enc.mid if isinstance(enc.lo, float) else (enc.lo + enc.hi) / 2)
     center = (window.lo + window.hi) / 2
-    base = round(float((mid - center) / modulus))
-    for s in (modulus * base, modulus * (base - 1), modulus * (base + 1)):
-        if window.lo + s <= enc.lo and enc.hi <= window.hi + s:
-            return "Inside", s
-    for s in (modulus * base, modulus * (base - 1), modulus * (base + 1)):
-        if (window.lo + s - BOUNDARY_GUARD <= enc.lo
-                and enc.hi <= window.hi + s + BOUNDARY_GUARD):
-            return "Inconclusive", s
-    return "Outside", modulus * base
+    s = modulus * round((Fraction((enc.lo + enc.hi) / 2) - center) / modulus)
+    lo, hi = window.lo + s, window.hi + s
+    if lo <= enc.lo and enc.hi <= hi:
+        return "Inside", s
+    if lo - BOUNDARY_GUARD <= enc.lo and enc.hi <= hi + BOUNDARY_GUARD:
+        return "Inconclusive", s
+    return "Outside", s
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +74,8 @@ def locate_in_lattice(enc: Enclosure, window: Window, modulus: int):
 class PingPongTable:
     """Interval system and the verified inclusion facts for one (m, n); each
     fact's slack is the signed exact distance from its enclosure to its
-    target window, and least_slack the least of them."""
+    target window, and least_slack the least of them.  No fact checks that
+    [0, 1] = A^u u C u (A^s + 1): windows_for(a) tiles it for every a."""
 
     m: int
     n: int
@@ -101,15 +101,6 @@ class PingPongTable:
             "C_2": Window(C.lo + half, C.hi + half, "C_2"),
         }
 
-    def tiling_ok(self) -> bool:
-        """[0,1] = A^u u C u (A^s + 1) with matching endpoints, exactly."""
-        w = self.windows
-        return (w["A^u"].lo == 0 and w["A^u"].hi == w["C"].lo
-                and w["C"].hi == w["A^s"].lo + 1 and w["A^s"].hi + 1 == 1)
-
-    def all_inside(self) -> bool:
-        return bool(self.facts) and all(f["verdict"] == "Inside" for f in self.facts)
-
     def to_json(self):
         return {"m": self.m, "n": self.n, "a": rat_str(self.a),
                 "windows": {k: w.to_json() for k, w in self.windows.items()},
@@ -124,7 +115,9 @@ class PingPongTable:
 
 @dataclass
 class BSAction:
-    """g = g_n o g_m^{-1} and h = x + 1, with g h^m g^{-1} = h^n."""
+    """g = g_n o g_m^{-1} and h = x + 1, with g h^m g^{-1} = h^n.  The window
+    parameter a must lie in (0, 1/2), as Theta's does, so that each target
+    window (width a, modulus >= 1) meets locate_in_lattice's precondition."""
 
     m: int
     n: int
@@ -137,6 +130,8 @@ class BSAction:
     table: Optional[PingPongTable] = None
 
     def __post_init__(self):
+        if not (0 < self.a < Fraction(1, 2)):
+            raise PreconditionError(f"need 0 < a < 1/2, got {self.a}")
         self.g_m_inv = invert(self.g_m)
         self.g_n_inv = invert(self.g_n)
 
@@ -303,12 +298,8 @@ def verify_inclusions(act: BSAction, mode: Optional[str] = None) -> PingPongTabl
         table.facts.append({"id": vacuous, "check": "no residues to test",
                             "target": "", "verdict": "Inside", "offset": 0,
                             "enclosure": None, "slack": None})
-    if not table.tiling_ok():
-        table.facts.append({"id": "tiling", "check": "[0,1] = A^u u C u (A^s+1)",
-                            "target": "", "verdict": "Outside", "offset": 0,
-                            "enclosure": None, "slack": None})
     table.least_slack = min(slacks)
-    table.verified = table.all_inside()
+    table.verified = all(f["verdict"] == "Inside" for f in table.facts)
     act.table = table
     return table
 
@@ -403,16 +394,8 @@ def certify_word(act: BSAction, w: Union[BSWord, NormalForm],
     if len(word.syllables) == 0:
         raise PreconditionError("empty word cannot be certified nontrivial")
 
-    syl = list(word.syllables)
-    lead = 0
-    if syl and syl[0][0] == 'a':
-        lead = syl[0][1]
-        syl = syl[1:]
-    if syl and syl[-1][0] == 'a':
-        syl[-1] = ('a', syl[-1][1] + lead)
-    elif lead:
-        syl.append(('a', lead))
-    conj = BSWord(word.m, word.n, tuple(syl))
+    syl = word.syllables
+    conj = BSWord(word.m, word.n, syl[1:] + syl[:1]) if syl[0][0] == 'a' else word
     separation = _window_separation(x0, windows)
 
     if conj.t_count == 0:
@@ -543,15 +526,11 @@ def sweep_certify(act: BSAction, max_syllables: int, exponent_bound: int,
     enc_list: list[Enclosure] = []
 
     def intern(enc: Enclosure) -> int:
-        key = (enc.lo, enc.hi)
-        idx = encs.get(key)
-        if idx is None:
-            idx = len(enc_list)
-            encs[key] = idx
+        idx = encs.setdefault((enc.lo, enc.hi), len(enc_list))
+        if idx == len(enc_list):
             enc_list.append(enc)
         return idx
 
-    max_width = 0.0
     edge_cache: dict[tuple, Optional[tuple]] = {}
 
     def edge(enc_id: int, v: int, direction: int):
@@ -559,7 +538,6 @@ def sweep_certify(act: BSAction, max_syllables: int, exponent_bound: int,
 
         Returns (new_enc_id, s1, s2), or None when a half is not Inside.
         """
-        nonlocal max_width
         key = (enc_id, v, direction)
         if key in edge_cache:
             return edge_cache[key]
@@ -569,7 +547,6 @@ def sweep_certify(act: BSAction, max_syllables: int, exponent_bound: int,
         if v2 == "Inside":
             cell = _dyadic_cell(e2.shift(-s2), windows["A^s" if direction == 1 else "B^s"],
                                 bits)
-            max_width = max(max_width, float(cell.width))
             result = (intern(cell), s1, s2)
         edge_cache[key] = result
         return result
@@ -579,6 +556,13 @@ def sweep_certify(act: BSAction, max_syllables: int, exponent_bound: int,
     states_by_depth = {}
     base_id = intern(Enclosure.point(x0))
 
+    # the (r, new_sign) moves allowed after a state's t-syllable sign; a
+    # depth-0 state has none and moves on to either sign with r = 0
+    moves = {sign: [(r, new_sign) for r in range(-b, b + 1) for new_sign in (1, -1)
+                    if not _pinch_between(new_sign, r, sign, m, n)]
+             for sign in (1, -1)}
+    moves[0] = [(0, 1), (0, -1)]
+
     # depth-0 states fold (r_0, r_k) pairs into their sum
     frontier: dict[tuple, int] = {}
     for shift_sum in range(-2 * b, 2 * b + 1):
@@ -587,28 +571,20 @@ def sweep_certify(act: BSAction, max_syllables: int, exponent_bound: int,
     for depth in range(1, max_syllables + 1):
         nxt: dict[tuple, int] = {}
         for (sign, enc_id, offset), mult in frontier.items():
-            if sign == 0:
-                moves = [(offset, 1, mult), (offset, -1, mult)]
-            else:
-                moves = []
-                for r in range(-b, b + 1):
-                    for new_sign in (1, -1):
-                        if _pinch_between(new_sign, r, sign, m, n):
-                            continue
-                        moves.append((offset + r, new_sign, mult))
-            for total, new_sign, wt in moves:
+            for r, new_sign in moves[sign]:
+                total = offset + r
                 lattice = m if new_sign == 1 else n
                 v = total % lattice
                 u = (total - v) // lattice
                 res = edge(enc_id, v, new_sign)
                 if res is None:
-                    inconclusive += wt
+                    inconclusive += mult
                     continue
                 new_enc, s1, s2 = res
                 out_mod = n if new_sign == 1 else m
                 new_offset = s2 + out_mod * (s1 + u)
                 key = (new_sign, new_enc, new_offset)
-                nxt[key] = nxt.get(key, 0) + wt
+                nxt[key] = nxt.get(key, 0) + mult
         frontier = nxt
         counts[depth] = sum(frontier.values())
         states_by_depth[depth] = len(frontier)
@@ -617,6 +593,7 @@ def sweep_certify(act: BSAction, max_syllables: int, exponent_bound: int,
     # inconclusive > 0 also makes the transfer-matrix cross-check fail
     expected = count_pinch_free(m, n, max_syllables, b)
     nontrivial = sum(counts.values())
+    max_width = max((float(cell.width) for cell in enc_list[base_id + 1:]), default=0.0)
     return SweepSummary(m, n, max_syllables, b, x0, counts, expected,
                         nontrivial, inconclusive, states_by_depth, max_width,
                         Fraction(1, 2 ** bits))

@@ -361,14 +361,13 @@ def audit_commuting_fixsets(f: SampledIntervalMap, g: SampledIntervalMap,
 
 def audit_aba(a: SampledIntervalMap, b: SampledIntervalMap,
               exponents: tuple[int, int, int, int, int, int],
-              interval: tuple[float, float], tol: float = 1e-9,
-              samples: int = 64) -> AuditReport:
+              interval: tuple[float, float], tol: float = 1e-9) -> AuditReport:
     """Audit the aba-relation dichotomy on an interval J of fixed points of a.
 
     exponents = (n1, m3, n2, m1, n3, m2) encodes the relation
     a^n1 b^m3 a^n2 = b^m1 a^n3 b^m2, which needs m1 + m2 != m3.  The verdict
     states whether J lies inside Fix(b), misses it entirely, or violates the
-    dichotomy.
+    dichotomy, on 64 even samples of J.
     """
     n1, m3, n2, m1, n3, m2 = exponents
     if m1 + m2 == m3:
@@ -376,7 +375,7 @@ def audit_aba(a: SampledIntervalMap, b: SampledIntervalMap,
     lo, hi = float(interval[0]), float(interval[1])
     if not (0 <= lo < hi <= 1):
         raise PreconditionError(f"J = [{lo}, {hi}] is not a nontrivial subinterval of I")
-    pts = np.linspace(lo, hi, samples)
+    pts = np.linspace(lo, hi, 64)
 
     fixed_a = np.max(np.abs(a(pts) - pts))
     if fixed_a > tol:

@@ -52,9 +52,11 @@ def action_from_file(path) -> BSAction:
 
 def _flag(args, name: str, parse=rat, count: int = 0):
     """parse(args.<name>), or the list of its count comma-separated values
-    parsed: the one reading of a number flag; a malformed value raises
+    parsed: the one reading of a flag; a missing or malformed value raises
     PreconditionError naming the flag."""
     value = getattr(args, name)
+    if value is None:
+        raise PreconditionError(f"--{name} is required")
     try:
         if not count:
             return parse(value)
@@ -103,14 +105,14 @@ def pipeline_faithfulness(act: BSAction, max_syllables: int, exponent_bound: int
 
 
 def pipeline_bs12_oracle(max_letters: int, random_pairs: int = 20000,
-                         pair_radius: int = 4, seed: int = 0) -> dict:
+                         seed: int = 0) -> dict:
     """Exhaustive agreement check between the rewriting word problem and the
     faithful affine model of BS(1, 2).
 
     Runs four parts: (a) triviality vs identity map over every letter string
     of length <= max_letters; (b) equal() against an affine-class
     representative for every word; (c) exhaustive equal() over all pairs of
-    words of length <= pair_radius; (d) seeded random pairs at full radius.
+    words of length <= 4; (d) seeded random pairs at full radius.
     Any disagreement is reported with its witness.
     """
     t0 = time.time()
@@ -126,7 +128,7 @@ def pipeline_bs12_oracle(max_letters: int, random_pairs: int = 20000,
                 seen[w.syllables] = w
                 order.append(w)
     # t-syllables carry exponent +-1, so a word has sum |exponent| letters
-    short_words = [w for w in order if sum(abs(e) for _, e in w.syllables) <= pair_radius]
+    short_words = [w for w in order if sum(abs(e) for _, e in w.syllables) <= 4]
 
     disagreements = []
     classes: dict[tuple, BSWord] = {}
@@ -314,25 +316,23 @@ def _dispatch(args) -> tuple[dict, int]:
     if cmd == "rigidity":
         return _rigidity_cmd(args)
 
-    if cmd == "pipeline":
-        if args.action == "faithfulness":
-            if not args.action_file:
-                raise PreconditionError("--action-file is required")
-            act = action_from_file(args.action_file)
-            summary = pipeline_faithfulness(act, args.max_syllables,
-                                            args.exponent_bound, _flag(args, "x0"))
-            return {"subcommand": "pipeline faithfulness", **summary}, 0
-        summary = pipeline_bs12_oracle(args.max_letters, seed=args.seed)
-        return ({"subcommand": "pipeline bs12-oracle", **summary},
-                0 if summary["passed"] else 4)
-
-    raise PreconditionError(f"unknown command {cmd}")
+    # cmd == "pipeline", the one command argparse leaves
+    if args.action == "faithfulness":
+        if not args.action_file:
+            raise PreconditionError("--action-file is required")
+        act = action_from_file(args.action_file)
+        summary = pipeline_faithfulness(act, args.max_syllables,
+                                        args.exponent_bound, _flag(args, "x0"))
+        return {"subcommand": "pipeline faithfulness", **summary}, 0
+    summary = pipeline_bs12_oracle(args.max_letters, seed=args.seed)
+    return ({"subcommand": "pipeline bs12-oracle", **summary},
+            0 if summary["passed"] else 4)
 
 
 def _words_cmd(args) -> tuple[dict, int]:
     m, n = args.m, args.n
     if args.action == "reduce":
-        w = BSWord.parse(m, n, args.word)
+        w = BSWord.parse(m, n, _flag(args, "word", str))
         if args.trace:
             nf, steps = reduce(w, trace=True)
             return {"subcommand": "words reduce", "input": str(w),
@@ -341,30 +341,29 @@ def _words_cmd(args) -> tuple[dict, int]:
         return {"subcommand": "words reduce", "input": str(w),
                 "normal_form": str(reduce(w))}, 0
     if args.action == "is-trivial":
-        w = BSWord.parse(m, n, args.word)
+        w = BSWord.parse(m, n, _flag(args, "word", str))
         return {"subcommand": "words is-trivial", "word": str(w),
                 "trivial": is_trivial(w)}, 0
     if args.action == "equal":
-        w1, w2 = BSWord.parse(m, n, args.word), BSWord.parse(m, n, args.word2)
+        w1 = BSWord.parse(m, n, _flag(args, "word", str))
+        w2 = BSWord.parse(m, n, _flag(args, "word2", str))
         return {"subcommand": "words equal", "w1": str(w1), "w2": str(w2),
                 "equal": equal(w1, w2)}, 0
     if args.action == "enumerate":
-        out = []
-        for nf in enumerate_reduced(m, n, args.max_syllables, args.exponent_bound):
-            out.append(str(nf))
-            if len(out) >= args.limit:
-                break
+        if args.limit < 0:
+            raise PreconditionError(f"--limit must be >= 0, got {args.limit}")
+        words = enumerate_reduced(m, n, args.max_syllables, args.exponent_bound)
+        out = [str(nf) for nf in itertools.islice(words, args.limit)]
         return {"subcommand": "words enumerate", "count_emitted": len(out),
                 "truncated_at": args.limit, "words": out}, 0
-    if args.action == "obstruction":
-        word, cert = obstruction_commutator(m, n, args.p, args.q)
-        return {"subcommand": "words obstruction", **cert}, 0
-    raise PreconditionError(f"unknown words action {args.action}")
+    # "obstruction", the one action argparse's choices leave
+    word, cert = obstruction_commutator(m, n, _flag(args, "p", int), args.q)
+    return {"subcommand": "words obstruction", **cert}, 0
 
 
 def _bs_cmd(args) -> tuple[dict, int]:
     if args.action == "construct":
-        act = build_action(args.m, args.n, _flag(args, "a"),
+        act = build_action(_flag(args, "m", int), _flag(args, "n", int), _flag(args, "a"),
                            fourier_harmonics=args.fourier_harmonics)
         # the report IS the action file: `--out action.json` stores it
         report = {"subcommand": "bs construct",
@@ -375,7 +374,7 @@ def _bs_cmd(args) -> tuple[dict, int]:
             report["written"] = str(args.file)
         return report, 0
     if args.action == "obstruct":
-        res = rotation_obstruction(args.m, args.n)
+        res = rotation_obstruction(_flag(args, "m", int), _flag(args, "n", int))
         return {"subcommand": "bs obstruct", "m": args.m, "n": args.n,
                 "admissible_rotation_numbers": [rat_str(v) for v in res["admissible"]],
                 "period_divisor": res["period_divisor"]}, 0
@@ -390,15 +389,14 @@ def _bs_cmd(args) -> tuple[dict, int]:
         return {"subcommand": "bs verify-inclusions", "verified": table.verified,
                 **table.to_json()}, code
     if args.action == "certify":
-        w = BSWord.parse(act.m, act.n, args.word)
+        w = BSWord.parse(act.m, act.n, _flag(args, "word", str))
         nf = reduce(w)
         cert = certify_word(act, nf, _flag(args, "x0"))
         code = 0 if cert.verdict == "nontrivial" else 3
         return {"subcommand": "bs certify", **cert.to_json()}, code
-    if args.action == "fixed-point":
-        res = find_g_fixed_point(act.g, act.m, args.search_bound)
-        return {"subcommand": "bs fixed-point", **res}, 0
-    raise PreconditionError(f"unknown bs action {args.action}")
+    # "fixed-point", the one action argparse's choices leave
+    res = find_g_fixed_point(act.g, act.m, args.search_bound)
+    return {"subcommand": "bs fixed-point", **res}, 0
 
 
 def _presentations_cmd(args) -> tuple[dict, int]:
@@ -406,12 +404,12 @@ def _presentations_cmd(args) -> tuple[dict, int]:
         return {"subcommand": "presentations pin-convention",
                 **pin_commutator_convention()}, 0
     if args.action == "mc":
-        schema = mc_schema(args.n)
+        schema = mc_schema(_flag(args, "n", int))
         if args.emit:
             emit_json(schema.to_json(), args.emit)
         return {"subcommand": "presentations mc", **schema.to_json()}, 0
     if args.action == "autfn-verify":
-        report = verify_autfn_relations(args.n)
+        report = verify_autfn_relations(_flag(args, "n", int))
         code = 0 if report["total_failures"] == 0 else 4
         return {"subcommand": "presentations autfn-verify", **report}, code
     if not args.file:
@@ -429,13 +427,12 @@ def _presentations_cmd(args) -> tuple[dict, int]:
                 "connected": connected, "components": comps}, 0
     if args.action == "braid-conjugator":
         return {"subcommand": "presentations braid-conjugator",
-                **braid_conjugator(schema, args.x, args.y)}, 0
-    if args.action == "twisted":
-        out = twisted_generators(schema)
-        if args.emit:
-            emit_json(out.to_json(), args.emit)
-        return {"subcommand": "presentations twisted", **out.to_json()}, 0
-    raise PreconditionError(f"unknown presentations action {args.action}")
+                **braid_conjugator(schema, _flag(args, "x", str), _flag(args, "y", str))}, 0
+    # "twisted", the one action argparse's choices leave
+    out = twisted_generators(schema)
+    if args.emit:
+        emit_json(out.to_json(), args.emit)
+    return {"subcommand": "presentations twisted", **out.to_json()}, 0
 
 
 def _rigidity_cmd(args) -> tuple[dict, int]:

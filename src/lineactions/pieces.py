@@ -56,6 +56,9 @@ def rat_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
+DECIMAL_PLACES = 30
+
+
 def _decimal(n: int, places: int) -> str:
     """n / 10**places as a decimal string, trailing zeros dropped."""
     sign = "-" if n < 0 else ""
@@ -63,14 +66,14 @@ def _decimal(n: int, places: int) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}".rstrip("0").rstrip(".") or "0"
 
 
-def decimal_down(q: Fraction, places: int = 30) -> str:
-    """Decimal string <= q, rounded toward minus infinity at `places` digits."""
-    return _decimal(math.floor(q * 10 ** places), places)
+def decimal_down(q: Fraction) -> str:
+    """Decimal string <= q, rounded toward minus infinity at DECIMAL_PLACES digits."""
+    return _decimal(math.floor(q * 10 ** DECIMAL_PLACES), DECIMAL_PLACES)
 
 
-def decimal_up(q: Fraction, places: int = 30) -> str:
-    """Decimal string >= q, rounded toward plus infinity at `places` digits."""
-    return _decimal(math.ceil(q * 10 ** places), places)
+def decimal_up(q: Fraction) -> str:
+    """Decimal string >= q, rounded toward plus infinity at DECIMAL_PLACES digits."""
+    return _decimal(math.ceil(q * 10 ** DECIMAL_PLACES), DECIMAL_PLACES)
 
 
 def _float_down(q) -> float:
@@ -115,10 +118,6 @@ class Enclosure:
     @property
     def width(self):
         return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        return (float(self.lo) + float(self.hi)) / 2.0
 
     @property
     def rational_ends(self) -> tuple:

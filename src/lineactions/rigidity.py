@@ -26,8 +26,8 @@ from .errors import InconclusiveError, PreconditionError
 from .maps import AffineMap, MapTree, compose, fixed_points, invert, relation_residual
 
 
-def _min_slope(g: MapTree, window: float, samples: int = 2001) -> float:
-    xs = np.linspace(-window, window, samples)
+def _min_slope(g: MapTree, window: float) -> float:
+    xs = np.linspace(-window, window, 2001)
     ys = g.eval_array(xs)
     return float(np.min(np.diff(ys) / np.diff(xs)))
 
@@ -186,14 +186,15 @@ def _shift_conjugate(f: MapTree, x_star: float) -> MapTree:
     return compose(AffineMap(1, -Fraction(x_star)), f, AffineMap(1, Fraction(x_star)))
 
 
-def _orbit_classification(g: MapTree, x_star: float, eps: float = 1e-4,
-                          max_iter: int = 500) -> str:
-    """attracting / repelling / semi-stable by two-sided orbit convergence."""
+def _orbit_classification(g: MapTree, x_star: float) -> str:
+    """attracting / repelling / semi-stable by two-sided orbit convergence,
+    from x_star +- 1e-4 in at most 500 steps."""
+    eps = 1e-4
     outcomes = []
     for side in (1.0, -1.0):
         x = x_star + side * eps
         verdict = "stays"
-        for _ in range(max_iter):
+        for _ in range(500):
             x = g.eval_float(x)
             if abs(x - x_star) < eps * 1e-4:
                 verdict = "converges"

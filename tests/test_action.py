@@ -74,7 +74,10 @@ def test_verify_inclusions_pairs():
         assert table.verified, (m, n)
         ids = {f["id"] for f in table.facts}
         assert {"eqn1", "eqn2", "eqn3", "eqn4", "eqn5", "eqn6", "eqn7"} <= ids
-        assert table.tiling_ok()
+        # windows_for tiles [0, 1] = A^u u C u (A^s + 1) exactly
+        w = table.windows
+        assert (w["A^u"].lo == 0 and w["A^u"].hi == w["C"].lo
+                and w["C"].hi == w["A^s"].lo + 1 and w["A^s"].hi + 1 == 1)
 
 
 def test_verify_inclusions_broken_parameter():
@@ -111,6 +114,48 @@ def test_locate_in_lattice_never_rounds_to_inside():
     assert verdict == "Outside"
 
 
+@given(a=st.sampled_from([F(1, 10), F(1, 6), F(2, 5), F(49, 100)]),
+       name=st.sampled_from(sorted(PingPongTable.windows_for(F(1, 10)))),
+       modulus=st.integers(1, 5), k=st.integers(-3, 3), at_hi=st.booleans(),
+       nudge=st.one_of(st.integers(-3, 3).map(lambda j: j * action.BOUNDARY_GUARD / 2),
+                       st.fractions(F(-1, 100), F(1, 100), max_denominator=10**9)),
+       share=st.fractions(0, 1, max_denominator=1000), as_float=st.booleans())
+@example(a=F(1, 10), name="A", modulus=1, k=0, at_hi=False, nudge=F(0), share=F(1, 2),
+         as_float=False)
+@example(a=F(1, 10), name="B^s", modulus=3, k=-2, at_hi=True,
+         nudge=action.BOUNDARY_GUARD / 2, share=F(1, 3), as_float=False)
+@example(a=F(1, 10), name="C_2", modulus=2, k=1, at_hi=False, nudge=F(-1, 100),
+         share=F(1, 3), as_float=True)
+def test_locate_in_lattice_agrees_with_a_scan_of_translates(a, name, modulus, k, at_hi,
+                                                            nudge, share, as_float):
+    """The one translate locate_in_lattice tests gives the verdict of testing
+    every translate in modulus*[-4, 4], which holds every candidate here."""
+    window = PingPongTable.windows_for(a)[name]
+    width = share * (window.hi - window.lo)
+    edge = (window.hi if at_hi else window.lo) + modulus * k + nudge
+    lo, hi = (edge - width, edge) if at_hi else (edge, edge + width)
+    enc = Enclosure(float(lo), float(hi)) if as_float else Enclosure(lo, hi)
+    guard = action.BOUNDARY_GUARD
+    scan = [modulus * j for j in range(-4, 5)]
+    inside = [s for s in scan if window.lo + s <= enc.lo and enc.hi <= window.hi + s]
+    near = [s for s in scan
+            if window.lo + s - guard <= enc.lo and enc.hi <= window.hi + s + guard]
+    assert len(near) <= 1
+    verdict, s = locate_in_lattice(enc, window, modulus)
+    if inside:
+        assert (verdict, s) == ("Inside", inside[0])
+    elif near:
+        assert (verdict, s) == ("Inconclusive", near[0])
+    else:
+        assert verdict == "Outside" and s % modulus == 0
+
+
+@pytest.mark.parametrize("a", [F(0), F(1, 2), F(3, 5)])
+def test_action_refuses_a_outside_the_open_half(a):
+    with pytest.raises(PreconditionError, match="0 < a < 1/2"):
+        BSAction.from_lifts(2, 3, a, AffineMap(3, 0), AffineMap(2, 0))
+
+
 def test_certify_base_cases(act23):
     cert = certify_word(act23, BSWord.parse(2, 3, "t"))
     assert cert.verdict == "nontrivial" and cert.final_tag == "A^s + nZ"
@@ -144,10 +189,14 @@ def test_certify_pure_powers(act23):
 
 def test_certificates_chain_and_separate(act23):
     sep = None
-    for text in ("t a t^-1 a", "t^-1 a^2 t a^-1", "a^2 t^2 a^-1 t^-1 a"):
+    # a leading a-power moves to the end, joining a trailing one
+    for text, conjugated in (("t a t^-1 a", "t a t^-1 a"),
+                             ("t^-1 a^2 t a^-1", "t^-1 a^2 t a^-1"),
+                             ("a^2 t^2 a^-1 t^-1 a", "t t a^-1 t^-1 a^3"),
+                             ("a^2 t a^-2", "t"), ("a t a^-1 t^-1", "t a^-1 t^-1 a")):
         w = reduce(BSWord.parse(2, 3, text))
         cert = certify_word(act23, w)
-        assert cert.verdict == "nontrivial"
+        assert cert.verdict == "nontrivial" and cert.conjugated_word == conjugated
         sep = cert.separation
         assert sep == F(3, 20)
         # the final point really is displaced by at least the separation

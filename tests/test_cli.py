@@ -97,6 +97,8 @@ def test_words_cli(capsys):
     code, out = run(capsys, "words", "enumerate", "--m", "2", "--n", "3",
                     "--max-syllables", "1", "--exponent-bound", "1")
     assert code == 0 and out["count_emitted"] == 20
+    code, out = run(capsys, "words", "enumerate", "--m", "2", "--n", "3", "--limit", "0")
+    assert code == 0 and out["count_emitted"] == 0 and out["words"] == []
     code, out = run(capsys, "words", "obstruction", "--m", "2", "--n", "3",
                     "--p", "5", "--q", "1")
     assert code == 0 and out["nontrivial"] is True
@@ -366,6 +368,11 @@ def test_action_file_that_is_not_json_exits_2(tmp_path, capsys):
 ROTATION = {"kind": "affine", "slope": "1", "offset": "1/2"}
 MEASURE = ["meantrans", "--map", "rot.json", "--measure", "mu.json"]
 AUDIT_ABA = ["audit-aba", "--a", "id.csv", "--b", "id.csv"]
+WORDS = ["words", "--m", "2", "--n", "3"]
+BRAID = ["presentations", "braid-conjugator", "s.json"]
+BRAID_SCHEMA = {"name": "s", "generators": ["x", "y"], "braid": [["x", "y"]]}
+# an action file whose window parameter a lies outside (0, 1/2)
+A_THREE_FIFTHS = dict(build_action(2, 3).to_json(), a="3/5")
 
 
 # (files to write, arguments, text the error message must hold)
@@ -387,9 +394,27 @@ AUDIT_ABA = ["audit-aba", "--a", "id.csv", "--b", "id.csv"]
                                             "--interval", "0.4,x"], "--interval"),
     ({"sine.json": {"kind": "sine_lift", "amplitude": "1/100"}},
      ["rotnum", "--map", "sine.json", "--x0", "1e308", "--iters", "10"], "x = 1e+308"),
+    ({"a35.json": A_THREE_FIFTHS}, ["bs", "certify", "a35.json", "--word", "t"], "3/5"),
+    ({}, WORDS[:1] + ["reduce"] + WORDS[1:], "--word is required"),
+    ({}, WORDS[:1] + ["is-trivial"] + WORDS[1:], "--word is required"),
+    ({}, WORDS[:1] + ["equal"] + WORDS[1:], "--word is required"),
+    ({}, WORDS[:1] + ["equal"] + WORDS[1:] + ["--word", "t"], "--word2 is required"),
+    ({}, WORDS[:1] + ["obstruction"] + WORDS[1:], "--p is required"),
+    ({}, WORDS[:1] + ["enumerate"] + WORDS[1:] + ["--limit", "-1"], "--limit"),
+    ({}, ["bs", "construct", "--n", "3"], "--m is required"),
+    ({}, ["bs", "construct", "--m", "2"], "--n is required"),
+    ({}, ["bs", "obstruct"], "--m is required"),
+    ({}, ["bs", "certify", "act.json"], "--word is required"),
+    ({}, ["presentations", "mc"], "--n is required"),
+    ({}, ["presentations", "autfn-verify"], "--n is required"),
+    ({"s.json": BRAID_SCHEMA}, BRAID + ["--y", "y"], "--x is required"),
+    ({"s.json": BRAID_SCHEMA}, BRAID + ["--x", "x"], "--y is required"),
 ], ids=["schema-no-name", "schema-string-generators", "measure-no-atoms", "atom-of-three",
         "csv-abc", "csv-1/0", "missing-file", "directory", "x0-abc", "x0-1e999", "exponents-1,x",
-        "interval-0.4,x", "trig-x0-1e308"])
+        "interval-0.4,x", "trig-x0-1e308", "action-a-3/5", "reduce-no-word",
+        "is-trivial-no-word", "equal-no-word", "equal-no-word2", "obstruction-no-p",
+        "enumerate-limit-1", "construct-no-m", "construct-no-n", "obstruct-no-flags",
+        "certify-no-word", "mc-no-n", "autfn-verify-no-n", "braid-no-x", "braid-no-y"])
 def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, files, argv, names):
     monkeypatch.chdir(tmp_path)
     if "act.json" in argv:
