@@ -7,13 +7,13 @@ covering lifts ThetaMap.  lineactions.maps re-exports every public name here;
 import them from there.
 
 An enclosure is exact when its endpoints are one rational; nothing else
-records exactness.  The pieces are exact rationals only: each
-FundamentalDomainMap converts its pieces' coefficients once into one float
-table, which both its scalar and its array float evaluations read.  A point
-enclosure [q, q] is evaluated once, and both ends are read off that value.
-An interval pulled back through a cubic piece shares one exact bisection
-between its two ends, which splits only at the midpoint whose value falls
-between them; it visits the midpoints that a bisection per end would.
+records exactness.  The pieces are exact rationals with one float row each;
+a FundamentalDomainMap's one float table, read by its scalar and array float
+evaluations, is its pieces' rows.  A point enclosure [q, q] is evaluated
+once.  An interval pulled back through a cubic piece shares one exact
+bisection between its two ends, started at depth SEED_DEPTH from float seeds
+that exact evaluations confirm and split only at the midpoint whose value
+falls between them; from there it visits a bisection per end's midpoints.
 
 The degree-j covering lift Theta_j is built here: slope a/2 through the
 origin, slope a/2 affine ramp reaching j near 1, and a monotone cubic
@@ -155,11 +155,31 @@ def _image(enc: Enclosure, lo: Fraction, hi: Fraction) -> Enclosure:
 # ---------------------------------------------------------------------------
 # leaf pieces
 
+# Exact Hermite bisections start at this depth from float seeds.  Float roots
+# of Theta_j's joins are within 2^-44 h of the true ones, so 1 of 4,800 random
+# join points refutes its seed here (21 at 44, 319 at 48), each then bisecting whole.
+SEED_DEPTH = 40
+
+
+def _float_bisect(row: tuple, y: float, steps: int) -> float:
+    """y's bracket midpoint after steps halvings of [lo, hi] by the cubic of a
+    piece's float row (lo, c0, c1, c2, c3, hi), c2 = c3 = 0 on affine pieces."""
+    lo, c0, c1, c2, c3, hi = row
+    a, b = lo, hi
+    for _ in range(steps):
+        m = 0.5 * (a + b)
+        u = m - lo
+        if c0 + u * (c1 + u * (c2 + u * c3)) <= y:
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
+
 
 class AffinePiece:
     """y = slope*(x - lo) + value_lo on [lo, hi], slope > 0, exact rationals."""
 
-    __slots__ = ("lo", "hi", "value_lo", "slope")
+    __slots__ = ("lo", "hi", "value_lo", "slope", "row")
 
     def __init__(self, lo: Rat, hi: Rat, value_lo: Rat, slope: Rat):
         if not slope > 0:
@@ -168,6 +188,7 @@ class AffinePiece:
             raise RepresentationError("degenerate piece interval")
         self.lo, self.hi = lo, hi
         self.value_lo, self.slope = value_lo, slope
+        self.row = tuple(float(c) for c in (lo, *self.coeffs, hi))
 
     @property
     def value_hi(self) -> Rat:
@@ -195,10 +216,10 @@ class HermitePiece:
     Monotonicity is certified at construction by the Fritsch-Carlson
     sufficient condition: both endpoint slopes in (0, 3*secant].  The inverse
     of an interval [y_lo, y_hi] is one bisection shared by both ends until
-    they part (invert_enclosure).
+    they part, started from float seeds that it confirms (invert_enclosure).
     """
 
-    __slots__ = ("lo", "hi", "value_lo", "value_hi", "slope_lo", "slope_hi", "coeffs")
+    __slots__ = ("lo", "hi", "value_lo", "value_hi", "slope_lo", "slope_hi", "coeffs", "row")
 
     def __init__(self, lo: Rat, hi: Rat, value_lo: Rat, value_hi: Rat,
                  slope_lo: Rat, slope_hi: Rat):
@@ -218,11 +239,27 @@ class HermitePiece:
         c2 = (3 * secant - 2 * slope_lo - slope_hi) / h
         c3 = (slope_lo + slope_hi - 2 * secant) / (h * h)
         self.coeffs = (value_lo, slope_lo, c2, c3)
+        self.row = tuple(float(c) for c in (lo, *self.coeffs, hi))
 
     def eval(self, x: Rat) -> Rat:
         c0, c1, c2, c3 = self.coeffs
         u = x - self.lo
         return c0 + u * (c1 + u * (c2 + u * c3))
+
+    def _seeded(self, y_lo: Rat, y_hi: Rat, width: Fraction):
+        """invert_enclosure's brackets at its starting depth, or None (see there)."""
+        depth = min(SEED_DEPTH, (math.ceil((self.hi - self.lo) / width) - 1).bit_length())
+        lo, hi, top, step = self.row[0], self.row[5], 2 ** depth, (self.hi - self.lo) / 2 ** depth
+        try:  # each k off the midpoint x >= lo of its float bracket after depth + 8 halvings
+            x_lo, x_hi = (_float_bisect(self.row, float(y), depth + 8) for y in (y_lo, y_hi))
+        except OverflowError:
+            return None
+        k_lo, k_hi = (min(math.floor((x - lo) / (hi - lo) * top), top - 1) for x in (x_lo, x_hi))
+        runs = [(k_lo, y_lo, y_hi)] if k_lo == k_hi else [(k_hi, y_hi, y_hi), (k_lo, y_lo, y_lo)]
+        f = {k: self.eval(self.lo + k * step) for k in {k_lo, k_lo + 1, k_hi, k_hi + 1}}
+        if all(f[k] <= a and f[k + 1] > b for k, a, b in runs):
+            return [(self.lo + k * step, self.lo + (k + 1) * step, a, b) for k, a, b in runs]
+        return None
 
     def invert_enclosure(self, y_lo: Rat, y_hi: Rat, width: Fraction) -> tuple[Rat, Rat]:
         """(a, b) with eval(a) <= y_lo <= y_hi <= eval(b), clamped to the piece:
@@ -231,10 +268,14 @@ class HermitePiece:
 
         Both ends share one bisection while each midpoint value sends them the
         same way.  At the first midpoint m with y_lo < F(m) <= y_hi they part,
-        and each finishes alone, y_lo in [a, m] and y_hi in [m, b].  Every
-        midpoint and comparison is the one that a bisection per end makes; a
-        point (y_lo == y_hi) never parts."""
-        brackets, ends = [(self.lo, self.hi, y_lo, y_hi)], []
+        and each finishes alone, y_lo in [a, m] and y_hi in [m, b]; a point
+        (y_lo == y_hi) never parts.  The bisection starts at depth d =
+        min(SEED_DEPTH, N), N the depth reaching width, where y's bracket is
+        [x_k, x_k+1], x_i = lo + i h/2^d, k the largest i < 2^d with F(x_i) <=
+        y, or 0: F(x_k) <= y_lo and F(x_k+1) > y_hi confirm a float seed, and a
+        refuted one, or y out of [F(lo), F(hi)), starts from (lo, hi).  Below d,
+        every midpoint and comparison is the one that a bisection per end makes."""
+        brackets, ends = self._seeded(y_lo, y_hi, width) or [(self.lo, self.hi, y_lo, y_hi)], []
         while brackets:
             a, b, y_lo, y_hi = brackets.pop()
             while b - a > width:
@@ -364,18 +405,15 @@ class FundamentalDomainMap(MapTree):
         self.value_lo = pieces[0].eval(x_lo)
         self._breaks_exact = [p.lo for p in pieces]
         self._value_breaks = [p.eval(p.lo) for p in pieces]
-        # one float table of the pieces, as lists for the scalar evaluations
-        # and as arrays for the array ones: rows (lo, c0, c1, c2, c3) of each
-        # piece as a cubic in u = x - lo (c2 = c3 = 0 on affine pieces), the
-        # piece ends, the value breaks and which pieces bisect to invert
-        self._rows = [tuple(float(c) for c in (p.lo, *p.coeffs)) for p in pieces]
+        # one float table, as lists for the scalar evaluations and as arrays
+        # for the array ones: the pieces' rows, value breaks and which bisect
+        self._rows = [p.row for p in pieces]
         self._breaks = [row[0] for row in self._rows]
-        self._ends = [float(p.hi) for p in pieces]
         self._value_breaks_f = [float(v) for v in self._value_breaks]
         self._hermite = [isinstance(p, HermitePiece) for p in pieces]
         self._table = np.array(list(zip(*self._rows)))
-        self._ends_arr, self._value_breaks_arr, self._hermite_arr = map(
-            np.array, (self._ends, self._value_breaks_f, self._hermite))
+        self._value_breaks_arr, self._hermite_arr = map(
+            np.array, (self._value_breaks_f, self._hermite))
 
     def _index(self, breaks: list, v) -> int:
         """The piece whose entry in breaks is the last one <= v, clamped."""
@@ -390,13 +428,13 @@ class FundamentalDomainMap(MapTree):
         k = math.floor(x - self._breaks[0])
         xr = x - k
         i = bisect.bisect_right(self._breaks, xr) - 1
-        lo, c0, c1, c2, c3 = self._rows[max(0, min(i, len(self._rows) - 1))]
+        lo, c0, c1, c2, c3, _ = self._rows[max(0, min(i, len(self._rows) - 1))]
         u = xr - lo
         return c0 + u * (c1 + u * (c2 + u * c3)) + self.degree * k
 
     def _cubic_at(self, i: np.ndarray, xr: np.ndarray) -> np.ndarray:
         """Piece i[j] at xr[j], by eval_float's Horner scheme."""
-        lo, c0, c1, c2, c3 = self._table[:, i]
+        lo, c0, c1, c2, c3 = self._table[:5, i]
         u = xr - lo
         return c0 + u * (c1 + u * (c2 + u * c3))
 
@@ -444,18 +482,10 @@ class FundamentalDomainMap(MapTree):
         k = math.floor((y - self._value_breaks_f[0]) / self.degree)
         yr = y - self.degree * k
         i = self._index(self._value_breaks_f, yr)
-        lo, c0, c1, c2, c3 = self._rows[i]
+        row = self._rows[i]
         if not self._hermite[i]:
-            return lo + (yr - c0) / c1 + k
-        a, b = lo, self._ends[i]
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            u = m - lo
-            if c0 + u * (c1 + u * (c2 + u * c3)) <= yr:
-                a = m
-            else:
-                b = m
-        return 0.5 * (a + b) + k
+            return row[0] + (yr - row[1]) / row[2] + k
+        return _float_bisect(row, yr, 60) + k
 
     def invert_array(self, ys: np.ndarray) -> np.ndarray:
         """invert_float at each element: the affine formula on affine pieces,
@@ -469,7 +499,7 @@ class FundamentalDomainMap(MapTree):
         cubic = np.flatnonzero(self._hermite_arr[i])
         if cubic.size:
             i, yr = i[cubic], yr[cubic]
-            a, b = lo[cubic], self._ends_arr[i]
+            a, b = lo[cubic], self._table[5, i]
             for _ in range(60):
                 m = 0.5 * (a + b)
                 below = self._cubic_at(i, m) <= yr

@@ -17,7 +17,8 @@ from lineactions.maps import (DEFAULT_INVERSE_WIDTH, FLOAT_INVERSE_WIDTH, Affine
                               fixed_points, fourier_smooth, from_grid, from_knots,
                               from_spec, identity, invert, iterate, relation_residual,
                               sine_lift)
-from lineactions.pieces import _image
+from lineactions import pieces
+from lineactions.pieces import SEED_DEPTH, _image
 
 rationals = st.fractions(min_value=-2, max_value=2, max_denominator=997)
 floats = st.floats(min_value=-2, max_value=2)
@@ -781,7 +782,9 @@ def test_invert_exact_across_breaks_and_periods(width, y_lo, y_hi):
 
 def test_ends_that_never_part_share_every_evaluation(monkeypatch):
     # two ends 10^-45 apart on Theta_3's join, one period up: a bisection per
-    # end evaluates the cubic twice at each of the N midpoints, a shared one once
+    # end evaluates the cubic twice at each of the N midpoints, a shared one
+    # seeded at depth SEED_DEPTH confirms its bracket at its two ends and then
+    # evaluates once at each midpoint below that depth
     join = TH3.pieces[1]
     y_lo = join.eval(join.lo + (join.hi - join.lo) / 3)
     y_hi = y_lo + F(1, 10**45)
@@ -791,7 +794,100 @@ def test_ends_that_never_part_share_every_evaluation(monkeypatch):
     calls = _count_calls(monkeypatch, HermitePiece, "eval")
     enc = invert(TH3).eval_enclosure(Enclosure(y_lo + 3, y_hi + 3))
     assert (enc.lo, enc.hi) == (a + 1, b + 1)
-    assert len(calls) == len(visited)
+    assert len(calls) == 2 + len(visited[SEED_DEPTH:])
+
+
+def _grid_value(piece, k, depth=SEED_DEPTH):
+    """F at lo + k h / 2^depth, a point of the depth's bisection grid."""
+    return piece.eval(piece.lo + k * (piece.hi - piece.lo) / 2**depth)
+
+
+@given(piece=st.sampled_from(HERMITE_PIECES), shift=st.sampled_from([-1, 0, 1, None]),
+       ends=st.one_of(
+           # anywhere in the range, about a depth-SEED_DEPTH cell apart or less
+           st.tuples(st.integers(0, 10**40), st.integers(0, 10**40)).map(
+               lambda t: ("range", t)),
+           # exactly at a depth-SEED_DEPTH grid value, and that value's neighbour
+           st.integers(0, 2**SEED_DEPTH - 1).map(lambda k: ("grid", k)),
+           # in different depth-SEED_DEPTH brackets
+           st.tuples(st.integers(0, 2**SEED_DEPTH - 2), st.integers(1, 2**20)).map(
+               lambda t: ("apart", t)),
+           # at and beyond the ends of the range, up to floats that overflow
+           st.sampled_from([F(0), F(1), F(-1, 10**40), F(1) + F(1, 10**40), F(-3), F(4),
+                            F(-10**400), F(10**400)]).map(lambda t: ("edge", t))))
+@settings(max_examples=200, deadline=None)
+def test_seeded_start_matches_the_whole_bisection(piece, shift, ends):
+    # widths h/2^(J + shift) for J = SEED_DEPTH (N below, at and above the
+    # seed's depth) and 10^-30; every end of the seeded bisection is the end
+    # of the one-end bisection from (lo, hi)
+    h = piece.hi - piece.lo
+    width = DEFAULT_INVERSE_WIDTH if shift is None else h / 2**(SEED_DEPTH + shift)
+    kind, arg = ends
+    span = piece.value_hi - piece.value_lo
+    if kind == "range":
+        y_lo = piece.value_lo + F(arg[0], 10**40) * span
+        y_hi = y_lo + F(arg[1], 10**40) * span / 2**SEED_DEPTH
+    elif kind == "grid":
+        y_lo, y_hi = _grid_value(piece, arg), _grid_value(piece, arg + 1)
+    elif kind == "apart":
+        k, gap = arg
+        y_lo = _grid_value(piece, k) + F(1, 10**60)
+        y_hi = _grid_value(piece, min(k + gap, 2**SEED_DEPTH - 1)) + F(1, 10**60)
+    else:
+        y_lo = y_hi = piece.value_lo + arg * span if abs(arg) < 10**100 else arg
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = piece.invert_enclosure(y_lo, y_hi, width)
+    assert got == (_bisect(piece, y_lo, width)[0], _bisect(piece, y_hi, width)[1])
+
+
+class _Unfloatable(F):
+    """A rational whose float conversion raises, as it does past the float range."""
+
+    def __float__(self):
+        raise OverflowError("forced")
+
+
+@pytest.mark.parametrize("wrong", ["zero", "top", "+3", "-3", "raise"])
+@pytest.mark.parametrize("width", [F(1, 2**14), DEFAULT_INVERSE_WIDTH])
+@pytest.mark.parametrize("at_top", [False, True])
+def test_a_wrong_seed_falls_back_to_the_whole_bisection(monkeypatch, wrong, width, at_top):
+    # force each end's float bracket to a wrong depth cell (at the top value,
+    # a float root at hi must not seed the cell past the piece), or its float
+    # conversion to raise: the exact confirmation refutes the seed and the
+    # bisection runs from (lo, hi), with the reference's ends
+    join = TH3.pieces[1]
+    y_lo = join.value_hi if at_top else join.eval(join.lo + (join.hi - join.lo) * F(3, 7))
+    y_hi = y_lo + (0 if at_top else F(1, 10**20))
+    want = _bisect(join, y_lo, width)[0], _bisect(join, y_hi, width)[1]
+    float_bisect = pieces._float_bisect
+
+    def forced(row, y, steps):
+        lo, hi, x = row[0], row[5], float_bisect(row, y, steps)
+        cell = (hi - lo) / 2**(steps - 8)
+        return {"zero": lo, "top": hi, "+3": x + 3 * cell, "-3": x - 3 * cell}[wrong]
+
+    monkeypatch.setattr(pieces, "_float_bisect", forced)
+    ys = (_Unfloatable(y_lo), _Unfloatable(y_hi)) if wrong == "raise" else (y_lo, y_hi)
+    calls = _count_calls(monkeypatch, HermitePiece, "eval")
+    assert join.invert_enclosure(*ys, width) == want
+    assert len(calls) >= len(_bisect(join, y_lo, width)[2])
+
+
+@pytest.mark.parametrize("ends, most", [((1025, 1025), 2), ((1025, 1027), 3), ((1025, 1401), 4)])
+def test_sweep_width_inversions_cost_only_the_confirmations(monkeypatch, ends, most):
+    # at the sweep's inverse width 2^-14 the seeded depth, 10 on Theta_3's
+    # join, is the whole bisection's: ends at F of the middles of depth-10
+    # cells (odd points of the depth-11 grid) cost their brackets'
+    # confirmations, F at each distinct depth-10 grid point once
+    join = TH3.pieces[1]
+    width = F(1, 2**14)
+    y_lo, y_hi = (_grid_value(join, k, 11) for k in ends)
+    (a, _, visited), (_, b, _) = _bisect(join, y_lo, width), _bisect(join, y_hi, width)
+    calls = _count_calls(monkeypatch, HermitePiece, "eval")
+    enc = invert(TH3).eval_enclosure(Enclosure(y_lo + 3, y_hi + 3), inverse_width=width)
+    assert (enc.lo, enc.hi) == (a + 1, b + 1)
+    assert len(calls) <= most < len(visited)
 
 
 @pytest.mark.parametrize("width", [F(0), F(-1, 10**6)])
